@@ -7,7 +7,8 @@ cache.  Yet the overwhelming majority of those goals are trivial affine
 facts: ``0 <= 16*io + ii < n`` under ``0 <= io < n/16, 0 <= ii < 16``.
 
 This module decides exactly that fragment with a capped Fourier-Motzkin
-refutation engine over linear integer constraints:
+refutation engine (:func:`refute`, real shadows only) over the solver's
+own linear constraints (:mod:`repro.smt.omega`):
 
 * :func:`try_prove` -- can ``assumptions ⟹ goal`` be established by affine
   reasoning alone?  It only ever answers *proved* or *unknown*, never
@@ -17,16 +18,18 @@ refutation engine over linear integer constraints:
   (what FM decides, tightened with gcd normalization over the integers)
   implies integer infeasibility, which implies validity.
 
-* Quasi-affine ``/`` and ``%`` are purified into quotient pseudo-variables
-  keyed by the *structural* ``FloorDiv`` term, so every occurrence of
-  ``n / 16`` across facts and goal shares one variable and divisibility
-  preconditions like ``n % 16 == 0`` connect to loop bounds like
-  ``io < n / 16``.
+* Quasi-affine ``/`` and ``%`` are purified by the solver's
+  :class:`~repro.smt.omega.Purifier`, which keys quotient variables by the
+  *structural* ``FloorDiv`` term, so every occurrence of ``n / 16`` across
+  facts and goal shares one variable and divisibility preconditions like
+  ``n % 16 == 0`` connect to loop bounds like ``io < n / 16``.  Rows are
+  gcd-tightened by :func:`repro.smt.omega.tighten`, as in the Omega test.
 
-* :func:`prove` wraps the fast path in front of ``Solver.prove`` with
+* :func:`prove` is the one entry point every checker uses for an
+  obligation: the fast path first, ``Solver.prove`` on fall-through, with
   ``analysis.absint.*`` obs counters (goals tried / discharged /
-  fell-through, per originating check category), and tags fall-through
-  solver calls with the category via :func:`repro.obs.smtstats.query_category`.
+  fell-through, per originating check category); fall-through solver calls
+  are tagged with the category via :func:`repro.obs.smtstats.query_category`.
 
 On top of the same linear engine sits the **write-coverage box domain**
 used by the sanitizers (:mod:`repro.analysis.sanitize`): sets of
@@ -41,13 +44,24 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from ..core.prelude import Sym
 from ..obs import smtstats as _smtstats
 from ..obs import trace as _obs
 from ..smt import terms as S
+from ..smt.omega import (
+    DIV,
+    EQ,
+    GEQ,
+    Constraint,
+    Infeasible,
+    LinExpr,
+    NonAffine,
+    Purifier,
+    tighten,
+)
+from ..smt.solver import DEFAULT_SOLVER
 
 #: give-up thresholds keeping the fast path strictly cheap: anything larger
 #: falls through to the solver rather than risking FM's worst case
@@ -59,226 +73,84 @@ MAX_COEF = 10**15
 _FASTPATH = [True]
 
 
-def set_fastpath(enabled: bool):
-    """Globally enable/disable the interval fast path (for measurement)."""
-    _FASTPATH[0] = bool(enabled)
-
-
 def fastpath_enabled() -> bool:
     return _FASTPATH[0]
-
-
-class NonAffine(Exception):
-    """A term or formula outside the affine fragment; bail to the solver."""
-
-
-# ---------------------------------------------------------------------------
-# Linearization with div/mod purification
-# ---------------------------------------------------------------------------
-#
-# A linear form is ``(const, {Sym: coeff})``; a constraint is a linear form
-# asserted ``>= 0``.
-
-
-Lin = Tuple[int, Dict[Sym, int]]
-
-
-class Linearizer:
-    """Turns terms into linear forms, purifying ``/`` and ``%``.
-
-    Quotient pseudo-variables are keyed by the structural ``FloorDiv`` term
-    (frozen dataclasses compare by structure), so repeated occurrences of
-    the same division share one variable; ``t % d`` is rewritten to
-    ``t - d*(t / d)``.  Each fresh quotient ``q`` contributes the defining
-    constraints ``t - d*q >= 0`` and ``d*q + (d-1) - t >= 0`` to
-    :attr:`cons`."""
-
-    def __init__(self):
-        self._quot: Dict[S.FloorDiv, Sym] = {}
-        self.cons: List[Lin] = []
-
-    def _qvar(self, fd: S.FloorDiv) -> Sym:
-        q = self._quot.get(fd)
-        if q is None:
-            q = Sym(f"absq{len(self._quot)}")
-            self._quot[fd] = q
-            c, m = self.lin(fd.arg)
-            d = fd.divisor
-            m1 = dict(m)
-            m1[q] = m1.get(q, 0) - d
-            self.cons.append((c, m1))
-            m2 = {k: -v for k, v in m.items()}
-            m2[q] = m2.get(q, 0) + d
-            self.cons.append((d - 1 - c, m2))
-        return q
-
-    def lin(self, t: S.Term) -> Lin:
-        if isinstance(t, bool):
-            raise NonAffine(t)
-        if isinstance(t, int):  # raw literal in a Cmp operand
-            return (t, {})
-        if isinstance(t, S.IntC):
-            return (t.val, {})
-        if isinstance(t, S.Var):
-            if t.sort != S.INT:
-                raise NonAffine(t)
-            return (0, {t.sym: 1})
-        if isinstance(t, S.Add):
-            c = 0
-            m: Dict[Sym, int] = {}
-            for a in t.args:
-                ca, ma = self.lin(a)
-                c += ca
-                for k, v in ma.items():
-                    m[k] = m.get(k, 0) + v
-            return (c, m)
-        if isinstance(t, S.Scale):
-            c, m = self.lin(t.arg)
-            return (c * t.coeff, {k: v * t.coeff for k, v in m.items()})
-        if isinstance(t, S.FloorDiv):
-            return (0, {self._qvar(t): 1})
-        if isinstance(t, S.Mod):
-            # t % d  =  t - d * (t / d), sharing the quotient variable
-            q = self._qvar(S.FloorDiv(t.arg, t.divisor))
-            c, m = self.lin(t.arg)
-            m = dict(m)
-            m[q] = m.get(q, 0) - t.divisor
-            return (c, m)
-        raise NonAffine(t)
-
-    # -- atoms -------------------------------------------------------------
-
-    def _diff(self, lhs: S.Term, rhs: S.Term) -> Lin:
-        cl, ml = self.lin(lhs)
-        cr, mr = self.lin(rhs)
-        m = dict(ml)
-        for k, v in mr.items():
-            m[k] = m.get(k, 0) - v
-        return (cl - cr, m)
-
-    def atom_cons(self, t: S.Cmp) -> List[Lin]:
-        """GEQ-form constraints equivalent to the atom ``t``."""
-        c, m = self._diff(t.lhs, t.rhs)
-        neg = (-c, {k: -v for k, v in m.items()})
-        if t.op == "==":
-            return [(c, m), neg]
-        if t.op == ">=":
-            return [(c, m)]
-        if t.op == ">":
-            return [(c - 1, m)]
-        if t.op == "<=":
-            return [neg]
-        if t.op == "<":
-            return [(neg[0] - 1, neg[1])]
-        raise NonAffine(t)
-
-    def neg_atom_cons(self, t: S.Cmp) -> List[Lin]:
-        """GEQ-form constraints equivalent to ``not t`` (integer negation).
-        ``!=`` is a disjunction and has no conjunctive form: raises."""
-        c, m = self._diff(t.lhs, t.rhs)
-        neg = (-c, {k: -v for k, v in m.items()})
-        if t.op == ">=":  # not(l >= r)  <=>  l < r
-            return [(neg[0] - 1, neg[1])]
-        if t.op == ">":
-            return [neg]
-        if t.op == "<=":
-            return [(c - 1, m)]
-        if t.op == "<":
-            return [(c, m)]
-        raise NonAffine(t)
 
 
 # ---------------------------------------------------------------------------
 # Capped Fourier-Motzkin refutation
 # ---------------------------------------------------------------------------
 
-
-def _normalize(c: int, m: Dict[Sym, int]) -> Lin:
-    m = {k: v for k, v in m.items() if v}
-    if m:
-        g = 0
-        for v in m.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            # integer tightening: sum of g-divisible terms >= -c implies
-            # the divided sum >= ceil(-c/g), i.e. const becomes floor(c/g)
-            c = c // g
-            m = {k: v // g for k, v in m.items()}
-    return (c, m)
+#: ``not (l op r)`` as one atom; ``==`` has no conjunctive negation
+_NEG_OP = {">=": "<", ">": "<=", "<=": ">", "<": ">="}
+_FALSE = Constraint(LinExpr.constant(-1), GEQ)
 
 
-def _dedupe(cons: List[Lin]) -> List[Lin]:
-    """Keep only the tightest (smallest-constant) row per coefficient set."""
-    best: Dict[tuple, int] = {}
-    for c, m in cons:
-        key = tuple(sorted(((k.id, k), v) for k, v in m.items()))
-        if key not in best or c < best[key][0]:
-            best[key] = (c, m)
+def _tightest(rows: List[LinExpr]) -> List[LinExpr]:
+    """gcd-tighten each ``row >= 0`` and keep the tightest (smallest
+    constant) row per coefficient tuple; trivially true rows are dropped.
+    Raises :class:`Infeasible` on a contradictory row."""
+    best: Dict[tuple, LinExpr] = {}
+    for e in rows:
+        c = tighten(Constraint(e, GEQ))
+        if c is None:
+            continue
+        old = best.get(c.expr.coeffs)
+        if old is None or c.expr.const < old.const:
+            best[c.expr.coeffs] = c.expr
     return list(best.values())
 
 
-def refute(cons: List[Lin]) -> bool:
-    """Is the conjunction of ``cons`` (each ``const + Σ coeff·var >= 0``)
-    infeasible?  ``True`` is a proof of infeasibility (over the rationals,
-    with gcd tightening -- hence also over the integers); ``False`` only
-    means *could not refute within the caps*."""
-    work: List[Lin] = []
-    for c, m in cons:
-        c, m = _normalize(c, dict(m))
-        if not m:
-            if c < 0:
-                return True
-            continue
-        work.append((c, m))
-    work = _dedupe(work)
-    vars_ = set()
-    for _c, m in work:
-        vars_.update(m)
-    if len(vars_) > MAX_VARS:
-        return False
-    while vars_:
-        # eliminate the variable with the fewest pos*neg pairings
-        best_v, best_cost = None, None
-        for v in vars_:
-            pos = sum(1 for _c, m in work if m.get(v, 0) > 0)
-            neg = sum(1 for _c, m in work if m.get(v, 0) < 0)
-            cost = pos * neg
-            if best_cost is None or cost < best_cost:
-                best_v, best_cost = v, cost
-        if best_cost > MAX_COMBOS:
+def refute(cons: List[Constraint]) -> bool:
+    """Is the conjunction of ``cons`` infeasible?  ``True`` is a proof of
+    infeasibility (over the rationals, with gcd tightening -- hence also
+    over the integers); ``False`` only means *could not refute within the
+    caps*.  ``DIV`` constraints are dropped, which only weakens."""
+    rows: List[LinExpr] = []
+    for c in cons:
+        if c.kind != DIV:
+            rows.append(c.expr)
+        if c.kind == EQ:
+            rows.append(c.expr.scale(-1))
+    try:
+        work = _tightest(rows)
+        if len({v for e in work for v, _a in e.coeffs}) > MAX_VARS:
             return False
-        keep, pos_rows, neg_rows = [], [], []
-        for c, m in work:
-            a = m.get(best_v, 0)
-            (pos_rows if a > 0 else neg_rows if a < 0 else keep).append((c, m))
-        new = keep
-        for cp, mp in pos_rows:
-            a = mp[best_v]
-            for cn, mn in neg_rows:
-                b = -mn[best_v]
-                c = b * cp + a * cn
-                m: Dict[Sym, int] = {}
-                for k, v in mp.items():
-                    if k is not best_v:
-                        m[k] = b * v
-                for k, v in mn.items():
-                    if k is not best_v:
-                        m[k] = m.get(k, 0) + a * v
-                c, m = _normalize(c, m)
-                if abs(c) > MAX_COEF or any(abs(v) > MAX_COEF for v in m.values()):
-                    return False
-                if not m:
-                    if c < 0:
-                        return True
-                    continue
-                new.append((c, m))
-        new = _dedupe(new)
-        if len(new) > MAX_CONS:
-            return False
-        work = new
-        vars_ = set()
-        for _c, m in work:
-            vars_.update(m)
+        while work:
+            pos: Dict[Sym, int] = {}
+            neg: Dict[Sym, int] = {}
+            for e in work:
+                for v, a in e.coeffs:
+                    side = pos if a > 0 else neg
+                    side[v] = side.get(v, 0) + 1
+            # eliminate the variable with the fewest pos*neg pairings; ties
+            # go to the oldest Sym, never to an object address
+            cost, _id, var = min(
+                (pos.get(v, 0) * neg.get(v, 0), v.id, v)
+                for v in pos.keys() | neg.keys()
+            )
+            if cost > MAX_COMBOS:
+                return False
+            keep, lowers, uppers = [], [], []
+            for e in work:
+                a = e.coeff_of(var)
+                if a > 0:
+                    lowers.append((a, e))
+                elif a < 0:
+                    uppers.append((-a, e))
+                else:
+                    keep.append(e)
+            work = _tightest(
+                keep
+                + [lo.scale(b).add(up.scale(a)) for a, lo in lowers for b, up in uppers]
+            )
+            if len(work) > MAX_CONS or any(
+                abs(e.const) > MAX_COEF or any(abs(a) > MAX_COEF for _v, a in e.coeffs)
+                for e in work
+            ):
+                return False
+    except Infeasible:
+        return True
     return False
 
 
@@ -287,40 +159,37 @@ def refute(cons: List[Lin]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _collect_facts(assumptions, out: List[Lin], lz: Linearizer):
-    """Flatten context facts into GEQ constraints, dropping anything outside
+def _neg_atom(pur: Purifier, t: S.Cmp) -> Constraint:
+    op = _NEG_OP.get(t.op)
+    if op is None:
+        raise NonAffine(f"no conjunctive negation of {t.op!r}")
+    return pur.atom(op, t.lhs, t.rhs)
+
+
+def _collect_fact(f: S.Term, out: List[Constraint], pur: Purifier):
+    """Flatten a context fact into constraints, dropping anything outside
     the affine fragment.  Dropping facts only *weakens* the context, which
     is sound for proving."""
-    for f in assumptions:
-        _collect_fact(f, out, lz)
-
-
-def _collect_fact(f: S.Term, out: List[Lin], lz: Linearizer):
     if f == S.TRUE:
         return
     if f == S.FALSE:
-        out.append((-1, {}))  # vacuous context: everything is provable
+        out.append(_FALSE)  # vacuous context: everything is provable
         return
     if isinstance(f, S.And):
         for a in f.args:
-            _collect_fact(a, out, lz)
+            _collect_fact(a, out, pur)
         return
-    if isinstance(f, S.Cmp):
-        try:
-            out.extend(lz.atom_cons(f))
-        except NonAffine:
-            pass
-        return
-    if isinstance(f, S.Not) and isinstance(f.arg, S.Cmp):
-        try:
-            out.extend(lz.neg_atom_cons(f.arg))
-        except NonAffine:
-            pass
-        return
+    try:
+        if isinstance(f, S.Cmp):
+            out.append(pur.atom(f.op, f.lhs, f.rhs))
+        elif isinstance(f, S.Not) and isinstance(f.arg, S.Cmp):
+            out.append(_neg_atom(pur, f.arg))
+    except NonAffine:
+        pass
     # Or, quantifiers, boolean variables: drop (weakening)
 
 
-def _pos_atoms(t: S.Term, out: List[Lin], lz: Linearizer) -> bool:
+def _pos_atoms(t: S.Term, out: List[Constraint], pur: Purifier) -> bool:
     """Flatten a positive conjunction (through ``Exists``) into constraints.
     Returns False when a non-conjunctive or non-affine subformula appears.
 
@@ -331,44 +200,44 @@ def _pos_atoms(t: S.Term, out: List[Lin], lz: Linearizer) -> bool:
     if t == S.TRUE:
         return True
     if t == S.FALSE:
-        out.append((-1, {}))
+        out.append(_FALSE)
         return True
     if isinstance(t, S.Exists):
-        return _pos_atoms(t.body, out, lz)
+        return _pos_atoms(t.body, out, pur)
     if isinstance(t, S.And):
-        return all(_pos_atoms(a, out, lz) for a in t.args)
+        return all(_pos_atoms(a, out, pur) for a in t.args)
     if isinstance(t, S.Cmp):
         try:
-            out.extend(lz.atom_cons(t))
+            out.append(pur.atom(t.op, t.lhs, t.rhs))
         except NonAffine:
             return False
         return True
     return False
 
 
-def _prove_goal(goal: S.Term, facts: List[Lin], lz: Linearizer) -> bool:
+def _prove_goal(goal: S.Term, facts: List[Constraint], pur: Purifier) -> bool:
     if goal == S.TRUE:
         return True
     if isinstance(goal, S.And):
-        return all(_prove_goal(a, facts, lz) for a in goal.args)
+        return all(_prove_goal(a, facts, pur) for a in goal.args)
     if isinstance(goal, S.Cmp):
         try:
             if goal.op == "==":
                 # prove both directions: refute facts ∧ (l > r), facts ∧ (l < r)
-                le_dir = lz.neg_atom_cons(S.Cmp("<=", goal.lhs, goal.rhs))
-                ge_dir = lz.neg_atom_cons(S.Cmp(">=", goal.lhs, goal.rhs))
-                return refute(facts + lz.cons + le_dir) and refute(
-                    facts + lz.cons + ge_dir
-                )
-            neg = lz.neg_atom_cons(goal)
+                negs = [
+                    pur.atom(">", goal.lhs, goal.rhs),
+                    pur.atom("<", goal.lhs, goal.rhs),
+                ]
+            else:
+                negs = [_neg_atom(pur, goal)]
         except NonAffine:
             return False
-        return refute(facts + lz.cons + neg)
+        return all(refute(facts + pur.aux_cons + [n]) for n in negs)
     if isinstance(goal, S.Not):
-        atoms: List[Lin] = []
-        if not _pos_atoms(goal.arg, atoms, lz):
+        atoms: List[Constraint] = []
+        if not _pos_atoms(goal.arg, atoms, pur):
             return False
-        return refute(facts + lz.cons + atoms)
+        return refute(facts + pur.aux_cons + atoms)
     return False
 
 
@@ -381,10 +250,11 @@ def try_prove(assumptions, goal: S.Term) -> bool:
     if goal == S.TRUE:
         return True
     try:
-        lz = Linearizer()
-        facts: List[Lin] = []
-        _collect_facts(assumptions, facts, lz)
-        return _prove_goal(goal, facts, lz)
+        pur = Purifier()
+        facts: List[Constraint] = []
+        for f in assumptions:
+            _collect_fact(f, facts, pur)
+        return _prove_goal(goal, facts, pur)
     except (NonAffine, RecursionError):
         return False
 
@@ -412,11 +282,8 @@ def prove(assumptions, goal: S.Term, solver=None, category: str = "other") -> bo
             _count("discharged", category)
             return True
         _count("fellthrough", category)
-    if solver is None:
-        from ..smt.solver import DEFAULT_SOLVER as solver  # noqa: F811
-
     with _smtstats.query_category(category):
-        return solver.prove(S.implies(S.conj(*assumptions), goal))
+        return (solver or DEFAULT_SOLVER).prove(S.implies(S.conj(*assumptions), goal))
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +512,9 @@ def covers_reads(assumptions, read_eff, root: Sym, cover_boxes, category="saniti
 
 @contextmanager
 def disabled():
-    """Context manager running its body with the fast path off (used by the
-    measurement harness to collect solver-only baselines)."""
+    """Context manager running its body with the fast path off, so every
+    obligation reaches the solver (tests use it to exercise the solver
+    path and its counters)."""
     saved = _FASTPATH[0]
     _FASTPATH[0] = False
     try:

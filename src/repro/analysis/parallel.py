@@ -50,14 +50,9 @@ from ..effects.effects import (
 from ..obs import trace as _obs
 from ..smt import terms as S
 from ..smt.solver import DEFAULT_SOLVER
+from .absint import prove
 
 _KIND_WORD = {"r": "read", "w": "write", "+": "reduce"}
-
-
-def _prove(assumptions, goal) -> bool:
-    from .absint import prove as _absint_prove
-
-    return _absint_prove(assumptions, goal, category="parallel")
 
 
 def _leaf_accesses(eff, root: Sym, point):
@@ -219,7 +214,7 @@ def _check_parallel_loop(proc, loop_path, loop, what):
         for f1, f2 in agg:
             if f1 == S.FALSE or f2 == S.FALSE:
                 continue
-            if not _prove(assumptions, S.negate(S.conj(f1, f2))):
+            if not prove(assumptions, S.negate(S.conj(f1, f2)), category="parallel"):
                 clean = False
                 break
         if clean:
@@ -235,7 +230,7 @@ def _check_parallel_loop(proc, loop_path, loop, what):
                 if k1 == "r" and k2 == "r":
                     continue
                 conflict = S.conj(f1, f2)
-                if _prove(assumptions, S.negate(conflict)):
+                if prove(assumptions, S.negate(conflict), category="parallel"):
                     continue
                 msg = (
                     f"{what}: loop {x} is not parallelizable\n"

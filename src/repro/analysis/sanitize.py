@@ -50,7 +50,6 @@ from ..effects.effects import (
     mem_exposed,
 )
 from ..obs import trace as _obs
-from ..obs.smtstats import query_category as _query_category
 from ..smt import terms as S
 from ..smt.solver import DEFAULT_SOLVER
 from . import absint
@@ -108,11 +107,6 @@ class SanitizeReport:
         return "\n".join(lines)
 
 
-def _prove(assumptions, goal) -> bool:
-    with _query_category("sanitize"):
-        return DEFAULT_SOLVER.prove(S.implies(S.conj(*assumptions), goal))
-
-
 def _fresh_point(rank: int):
     return [S.Var(Sym(f"p{d}")) for d in range(rank)]
 
@@ -168,7 +162,9 @@ def _check_alloc(proc, path, s, base, facts, state, tenv, report, dead_allocs):
             covered = exposed == S.FALSE or absint.covers_reads(
                 assumptions, eff, buf, cover
             )
-            if not covered and not _prove(assumptions, S.negate(exposed)):
+            if not covered and not absint.prove(
+                assumptions, S.negate(exposed), category="sanitize"
+            ):
                 wit = _witness(assumptions, exposed, p)
                 report.findings.append(
                     Finding(
@@ -265,12 +261,16 @@ def _check_dead_store(proc, path, s, base, facts, state, tenv, report, dead_allo
     exposed = mem_exposed(post, "r+", root, p)
     assumptions = base + facts
     if exposed != S.FALSE:
-        if not _prove(assumptions, S.implies(wrote, S.negate(exposed))):
+        if not absint.prove(
+            assumptions, S.implies(wrote, S.negate(exposed)), category="sanitize"
+        ):
             return
     overwritten = False
     later_write = mem(post, "w", root, p)
     if later_write != S.FALSE:
-        overwritten = _prove(assumptions, S.implies(wrote, later_write))
+        overwritten = absint.prove(
+            assumptions, S.implies(wrote, later_write), category="sanitize"
+        )
     if not is_local and not overwritten:
         return  # the caller observes argument buffers at procedure exit
     word = "store to" if isinstance(s, IR.Assign) else "reduction into"
@@ -331,7 +331,9 @@ def _check_dead_config(proc, path, s, base, facts, report):
     ):
         return
     exposed = gmem_exposed(post, csym)
-    if exposed != S.FALSE and not _prove(base + facts, S.negate(exposed)):
+    if exposed != S.FALSE and not absint.prove(
+        base + facts, S.negate(exposed), category="sanitize"
+    ):
         return
     report.findings.append(
         Finding(

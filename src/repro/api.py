@@ -21,6 +21,7 @@ for ``call_eqv``.
 from __future__ import annotations
 
 import functools
+import weakref
 
 from dataclasses import replace as _dc_replace
 
@@ -58,9 +59,26 @@ from .scheduling.simplify import simplify_proc_fwd
 #: number of directives per app); reset it around a derivation to measure
 SCHEDULE_OP_COUNT = [0]
 
-#: registry mapping raw IR procs to their provenance nodes, so that
-#: call_eqv can recover the equivalence class of a call's current target
+#: provenance of raw IR procs, so that call_eqv can recover the equivalence
+#: class of a call's current target: ``id(proc) -> (weak ref, EqvNode)``.
+#: The weak ref tells a live entry from one whose proc was freed and whose
+#: id() a later proc reused; its callback drops the entry when the proc dies.
 _EQV_OF_IR: dict = {}
+
+
+def _set_eqv(ir: IR.Proc, node: EqvNode):
+    key = id(ir)
+
+    def drop(ref):
+        if _EQV_OF_IR.get(key, (None,))[0] is ref:
+            del _EQV_OF_IR[key]
+
+    _EQV_OF_IR[key] = (weakref.ref(ir, drop), node)
+
+
+def _eqv_of(ir: IR.Proc) -> EqvNode | None:
+    ref, node = _EQV_OF_IR.get(id(ir), (None, None))
+    return node if ref is not None and ref() is ir else None
 
 
 class Procedure:
@@ -82,7 +100,7 @@ class Procedure:
         #: discharged (directly or incrementally); incremental re-checking
         #: is only sound on top of a verified parent
         self._verified: bool = False
-        _EQV_OF_IR[id(loopir_proc)] = self._eqv
+        _set_eqv(loopir_proc, self._eqv)
         if not _checked and checks_enabled():
             _frontend_check(loopir_proc)
             self._verified = True
@@ -299,7 +317,7 @@ class Procedure:
         call_stmt = IR.get_stmt(self._loopir_proc, m.path)
         if not isinstance(call_stmt, IR.Call):
             raise SchedulingError("call_eqv: pattern must match a call")
-        old_node = _EQV_OF_IR.get(id(call_stmt.proc))
+        old_node = _eqv_of(call_stmt.proc)
         if old_node is None:
             raise SchedulingError(
                 "call_eqv: the current callee has no provenance record"

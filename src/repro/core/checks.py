@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 
+from ..analysis.absint import prove
 from ..obs import trace as _obs
 from ..smt import terms as S
 from ..smt.solver import DEFAULT_SOLVER
@@ -33,14 +34,6 @@ from .buffers import TypeEnv
 from .dataflow import GlobalState, Walker, _StrideEnv, _actual_stride, lower_ctrl
 from .ir2smt import lower_expr, proc_assumptions
 from .prelude import AssertCheckError, BoundsCheckError, Sym
-
-
-def _prove(assumptions, goal, solver=None, category="other"):
-    # deferred import: repro.analysis pulls in effects.api, which reaches
-    # back into this module lazily
-    from ..analysis.absint import prove as _absint_prove
-
-    return _absint_prove(assumptions, goal, solver=solver, category=category)
 
 
 def _counterexample(assumptions, goal, solver=None) -> str | None:
@@ -70,7 +63,7 @@ def _bounds_check(proc: IR.Proc, solver=None, scope=None):
     errors = []
 
     def check(goal, facts, what, srcinfo, detail=""):
-        if not _prove(base + facts, goal, solver, category="bounds"):
+        if not prove(base + facts, goal, solver, category="bounds"):
             msg = f"{srcinfo}: cannot prove {what}"
             extras = [detail] if detail else []
             cex = _counterexample(base + facts, goal, solver)
@@ -215,7 +208,7 @@ def _assert_check(proc: IR.Proc, solver=None, scope=None):
                         )
                     )
         for goal, what in shape_goals:
-            if not _prove(base + facts, goal, solver, category="assert"):
+            if not prove(base + facts, goal, solver, category="assert"):
                 errors.append(
                     f"{s.srcinfo}: call to {callee.name}: cannot prove {what}"
                 )
@@ -223,7 +216,7 @@ def _assert_check(proc: IR.Proc, solver=None, scope=None):
             t = lower_expr(pred, _StrideEnv(TypeEnv(callee), stride_extra))
             t = S.substitute(t, sub)
             t = state.subst_term(t)
-            if not _prove(base + facts, t, solver, category="assert"):
+            if not prove(base + facts, t, solver, category="assert"):
                 errors.append(
                     f"{s.srcinfo}: call to {callee.name}: cannot prove "
                     f"precondition"

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .prelude import ParseError, sanitize_name
+from .prelude import ParseError, Sym, sanitize_name
 from . import types as T
 
 
@@ -41,6 +41,7 @@ class Config:
                 )
             self._fields[fname] = ConfigField(fname, ftype)
         self._disable_rw = disable_rw
+        self._syms: Dict[str, Sym] = {}
 
     def name(self) -> str:
         return self._name
@@ -53,6 +54,14 @@ class Config:
 
     def field_type(self, fname: str) -> T.Type:
         return self._fields[fname].type
+
+    def sym(self, fname: str) -> Sym:
+        """The SMT variable standing for field ``fname`` of this config:
+        one per field, owned by the config and minted on first use."""
+        s = self._syms.get(fname)
+        if s is None:
+            s = self._syms[fname] = Sym(f"{self._name}_{fname}")
+        return s
 
     def is_allow_rw(self) -> bool:
         return not self._disable_rw

@@ -5,7 +5,8 @@ checker), so every one of them maps onto the solver's LIA term language:
 
 * control variables map to integer/boolean SMT variables (sharing the same
   :class:`Sym`),
-* config fields map to one global SMT variable per ``(config, field)``,
+* config fields map to one SMT variable per ``(config, field)``, owned by
+  the :class:`~repro.core.configs.Config`,
 * ``stride(x, d)`` maps to one SMT variable per ``(buffer, dim)`` unless the
   buffer's layout makes the stride statically known.
 
@@ -20,16 +21,12 @@ from ..core.prelude import InternalError, Sym
 from . import ast as IR
 from . import types as T
 
-_config_syms = {}
 _stride_syms = {}
 
 
 def config_sym(config, field: str) -> Sym:
-    """The global SMT variable standing for ``config.field``."""
-    key = (id(config), field)
-    if key not in _config_syms:
-        _config_syms[key] = Sym(f"{config.name()}_{field}")
-    return _config_syms[key]
+    """The SMT variable standing for ``config.field`` (owned by the config)."""
+    return config.sym(field)
 
 
 def stride_sym(buf: Sym, dim: int) -> Sym:

@@ -21,14 +21,13 @@ ternary D/M reasoning about configuration:
 
 from __future__ import annotations
 
+from ..analysis.absint import prove
 from ..core import ast as IR
 from ..core.dataflow import GlobalState, state_before
 from ..obs import trace as _obs
-from ..obs.smtstats import query_category as _query_category
 from ..core.ir2smt import proc_assumptions
 from ..core.prelude import SchedulingError, Sym
 from ..smt import terms as S
-from ..smt.solver import DEFAULT_SOLVER
 from .effects import (
     EffectExtractor,
     EGuard,
@@ -53,12 +52,6 @@ def set_check_mode(enabled: bool):
 
 def checks_enabled() -> bool:
     return _CHECKS_ENABLED[0]
-
-
-def _prove(assumptions, goal, solver=None) -> bool:
-    solver = solver or DEFAULT_SOLVER
-    with _query_category("rewrite"):
-        return solver.prove(S.implies(S.conj(*assumptions), goal))
 
 
 def _fresh_point(rank: int):
@@ -102,7 +95,7 @@ def _commutes_buffers(assumptions, a1, a2, what):
         for f1, f2, kind in pairs:
             if f1 == S.FALSE or f2 == S.FALSE:
                 continue
-            if not _prove(assumptions, S.negate(S.conj(f1, f2))):
+            if not prove(assumptions, S.negate(S.conj(f1, f2)), category="rewrite"):
                 errors.append(
                     f"{what}: cannot prove {kind} accesses to {root} disjoint"
                 )
@@ -118,7 +111,7 @@ def _noop_write(assumptions, eff, g, gamma: GlobalState) -> bool:
     for _guards, loops, value in writes:
         if value is None:
             return False
-        if not _prove(assumptions, S.eq(value, current)):
+        if not prove(assumptions, S.eq(value, current), category="rewrite"):
             return False
     return True
 
@@ -138,7 +131,7 @@ def _stable_write(assumptions, eff, g, iter_syms=()) -> bool:
             return False
         if v0 is None:
             v0 = value
-        elif not _prove(assumptions, S.eq(value, v0)):
+        elif not prove(assumptions, S.eq(value, v0), category="rewrite"):
             return False
     return True
 
@@ -161,7 +154,7 @@ def _commutes_globals(
         conflict = S.disj(S.conj(w1, S.disj(r2, w2)), S.conj(w2, S.disj(r1, w1)))
         if conflict == S.FALSE:
             continue
-        if _prove(assumptions, S.negate(conflict)):
+        if prove(assumptions, S.negate(conflict), category="rewrite"):
             continue
         # exception 1: all writes on both sides are no-ops w.r.t. dataflow
         if _noop_write(assumptions, a1, g, gamma) and _noop_write(
@@ -315,7 +308,7 @@ def check_remove_loop(proc: IR.Proc, loop_path):
         raise SchedulingError(
             f"remove_loop: iterator {loop.iter} is used in the loop body"
         )
-    if not _prove(ctx.assumptions, S.lt(lo, hi)):
+    if not prove(ctx.assumptions, S.lt(lo, hi), category="rewrite"):
         raise SchedulingError(
             "remove_loop: cannot prove the loop runs at least one iteration"
         )
@@ -346,7 +339,7 @@ def _check_shadows(ctx: Ctx, a1, a2, what):
             modified,
             S.conj(overwritten, S.negate(read), S.negate(reduced)),
         )
-        if not _prove(ctx.assumptions, goal):
+        if not prove(ctx.assumptions, goal, category="rewrite"):
             errors.append(f"{what}: {root} is not provably shadowed")
     for g in globals_of(a1):
         modified = gmem(a1, "w", g)
@@ -355,7 +348,7 @@ def _check_shadows(ctx: Ctx, a1, a2, what):
         goal = S.implies(
             modified, S.conj(gmem(a2, "w", g), S.negate(gmem(a2, "r", g)))
         )
-        if not _prove(ctx.assumptions, goal):
+        if not prove(ctx.assumptions, goal, category="rewrite"):
             errors.append(f"{what}: config field {g} is not provably shadowed")
     if errors:
         raise SchedulingError("\n".join(errors))
@@ -379,7 +372,7 @@ def check_condition(proc: IR.Proc, path, cond: IR.Expr, what):
     ctx = Ctx(proc, path)
     ex = ctx.extractor()
     goal = ex._ctrl(cond)
-    if not _prove(ctx.assumptions, goal):
+    if not prove(ctx.assumptions, goal, category="rewrite"):
         from ..core.checks import _counterexample
 
         cex = _counterexample(ctx.assumptions, goal)
@@ -391,7 +384,7 @@ def check_term_condition(proc: IR.Proc, path, goal: S.Term, what):
     if not checks_enabled():
         return
     ctx = Ctx(proc, path)
-    if not _prove(ctx.assumptions, goal):
+    if not prove(ctx.assumptions, goal, category="rewrite"):
         raise SchedulingError(f"{what}: condition is not provable")
 
 
@@ -428,7 +421,7 @@ def check_config_pollution(proc: IR.Proc, path, fields):
         f = gmem_exposed(post, g)
         if f == S.FALSE:
             continue
-        if not _prove(ctx.assumptions, S.negate(f)):
+        if not prove(ctx.assumptions, S.negate(f), category="rewrite"):
             errors.append(
                 f"configwrite: subsequent code may read polluted config {g}"
             )
@@ -448,7 +441,7 @@ def check_contained(ctx: Ctx, eff, root: Sym, rank: int, box, what):
     accessed = mem(eff, "rw+", root, p)
     if accessed == S.FALSE:
         return
-    if not _prove(ctx.assumptions, S.implies(accessed, inside)):
+    if not prove(ctx.assumptions, S.implies(accessed, inside), category="rewrite"):
         raise SchedulingError(
             f"{what}: accesses to {root} are not provably within the staged window"
         )

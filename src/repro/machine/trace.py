@@ -15,8 +15,10 @@ lets the timing simulators resolve RAW/WAR hazards exactly.
 
 from __future__ import annotations
 
+import itertools
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -32,7 +34,7 @@ class Region:
     accumulator tiles would appear to conflict and serialize the model.
     """
 
-    base: int  # id() of the root numpy allocation
+    base: int  # identity of the root numpy allocation (see AllocIds)
     lo: int
     hi: int  # exclusive
     bytes: int  # dense payload size (excludes stride gaps)
@@ -59,7 +61,27 @@ class Event:
     operands: Dict[str, Region]
 
 
-def _region_of(view: np.ndarray, space: str) -> Region:
+class AllocIds:
+    """Serial numbers for root numpy allocations.
+
+    ``id()`` is reused once an array is freed -- the interpreter frees every
+    in-loop scratchpad tile, so thousands of tiles would share a few ids and
+    hazards would follow the heap.  A serial is never reused.  A weak
+    reference tells a live array from a freed one with the same ``id()``
+    without keeping arrays alive."""
+
+    def __init__(self):
+        self._by_id: Dict[int, Tuple[weakref.ref, int]] = {}
+        self._next = itertools.count()
+
+    def __call__(self, arr: np.ndarray) -> int:
+        entry = self._by_id.get(id(arr))
+        if entry is None or entry[0]() is not arr:
+            entry = self._by_id[id(arr)] = (weakref.ref(arr), next(self._next))
+        return entry[1]
+
+
+def _region_of(view: np.ndarray, space: str, alloc_id: Callable) -> Region:
     base = view.base if view.base is not None else view
     while getattr(base, "base", None) is not None:
         base = base.base
@@ -81,7 +103,7 @@ def _region_of(view: np.ndarray, space: str) -> Region:
                 pitch = 0
                 col_lo = col_hi = 0
     return Region(
-        base=id(base),
+        base=alloc_id(base),
         lo=lo,
         hi=lo + span,
         bytes=int(view.size * view.itemsize),
@@ -98,6 +120,7 @@ class Tracer:
     def __init__(self, functional: bool = False):
         self.functional = functional
         self.events: List[Event] = []
+        self.alloc_ids = AllocIds()
 
     def hook(self, proc_ir, env) -> bool:
         ctrl = {}
@@ -106,7 +129,7 @@ class Tracer:
             val = env[formal.name]
             if isinstance(val, np.ndarray) and val.ndim > 0:
                 space = formal.mem.name() if formal.mem is not None else "dram"
-                operands[str(formal.name)] = _region_of(val, space)
+                operands[str(formal.name)] = _region_of(val, space, self.alloc_ids)
             elif isinstance(val, np.ndarray):
                 ctrl[str(formal.name)] = float(val[()])
             else:

@@ -693,7 +693,7 @@ def bind_config(proc, match, config, field: str):
     expr = match.expr
     if expr.type is None or expr.type.is_numeric():
         raise SchedulingError("bind_config: only control expressions can be bound")
-    EA.check_config_pollution(proc, match.path, [_csym(config, field)])
+    EA.check_config_pollution(proc, match.path, [config.sym(field)])
     stmt = IR.get_stmt(proc, match.path)
     stmt = replace_expr_at(
         stmt, match.expr_path, IR.ReadConfig(config, field, ftyp, expr.srcinfo)
@@ -703,13 +703,7 @@ def bind_config(proc, match, config, field: str):
         proc, match.path, 1, [wc, stmt],
         interior=lambda rel: ((rel[0][0], 1),) + tuple(rel[1:]),
     )
-    return new_proc, frozenset([_csym(config, field)]), fwd
-
-
-def _csym(config, field):
-    from ..core.ir2smt import config_sym
-
-    return config_sym(config, field)
+    return new_proc, frozenset([config.sym(field)]), fwd
 
 
 def configwrite_after(proc, match: StmtMatch, config, field: str, rhs: IR.Expr):
@@ -717,7 +711,7 @@ def configwrite_after(proc, match: StmtMatch, config, field: str, rhs: IR.Expr):
     EA.check_config_pollution(
         proc,
         (match.path[:-1] + ((match.path[-1][0], match.path[-1][1] + match.count - 1),)),
-        [_csym(config, field)],
+        [config.sym(field)],
     )
     stmt = IR.get_stmt(proc, match.path)
     wc = IR.WriteConfig(config, field, rhs, stmt.srcinfo)
@@ -725,7 +719,7 @@ def configwrite_after(proc, match: StmtMatch, config, field: str, rhs: IR.Expr):
     idx = match.path[-1][1]
     stmts = list(block[idx : idx + match.count]) + [wc]
     new_proc, fwd = _splice(proc, match.path, match.count, stmts)
-    return new_proc, frozenset([_csym(config, field)]), fwd
+    return new_proc, frozenset([config.sym(field)]), fwd
 
 
 def configwrite_root(proc, config, field: str, rhs: IR.Expr):
@@ -733,8 +727,8 @@ def configwrite_root(proc, config, field: str, rhs: IR.Expr):
     wc = IR.WriteConfig(config, field, rhs, proc.srcinfo)
     new_proc, fwd = _splice(proc, (("body", 0),), 0, [wc])
     # the *original* body is the post-context of the inserted write
-    EA.check_config_pollution(new_proc, (("body", 0),), [_csym(config, field)])
-    return new_proc, frozenset([_csym(config, field)]), fwd
+    EA.check_config_pollution(new_proc, (("body", 0),), [config.sym(field)])
+    return new_proc, frozenset([config.sym(field)]), fwd
 
 
 # ---------------------------------------------------------------------------

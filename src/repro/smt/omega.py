@@ -16,17 +16,21 @@ constraints power the solver:
   not be substituted away.
 
 Constraints are ``expr >= 0`` (GEQ), ``expr == 0`` (EQ), or ``d | expr``
-(DIV) over :class:`LinExpr`.
+(DIV) over :class:`LinExpr`.  :class:`Purifier` turns SMT terms into them
+(quasi-affine ``/`` and ``%`` become quotient variables) and
+:func:`tighten` gcd-normalizes one constraint; both are shared with the
+capped Fourier-Motzkin fast path in :mod:`repro.analysis.absint`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.prelude import InternalError, Sym
 from ..obs.smtstats import STATS as _SMT_STATS
+from . import terms as S
 
 GEQ = ">="
 EQ = "=="
@@ -121,6 +125,81 @@ class Infeasible(Exception):
     """Signals a conjunction with no integer solutions."""
 
 
+class NonAffine(InternalError):
+    """A term outside the quasi-affine fragment :class:`Purifier` accepts."""
+
+
+class Purifier:
+    """Turns SMT terms into :class:`LinExpr`, purifying ``/`` and ``%``.
+
+    Each distinct ``t / d`` (keyed by the structural ``FloorDiv`` term, so
+    every occurrence shares it) gets one quotient variable ``q`` with the
+    defining constraints ``t - d*q >= 0`` and ``d*q + (d-1) - t >= 0``;
+    ``t % d`` is ``t - d*q`` over the quotient of ``t / d``.  Quotients
+    collect in :attr:`aux_vars`, their definitions in :attr:`aux_cons`."""
+
+    def __init__(self):
+        self._quot: Dict[S.FloorDiv, Tuple[Sym, LinExpr]] = {}
+        self.aux_vars: List[Sym] = []
+        self.aux_cons: List[Constraint] = []
+
+    def _quotient(self, arg, d: int) -> Tuple[Sym, LinExpr]:
+        key = S.FloorDiv(arg, d)
+        found = self._quot.get(key)
+        if found is None:
+            la = self.lin(arg)
+            q = Sym("q")
+            found = self._quot[key] = (q, la)
+            self.aux_vars.append(q)
+            r = la.add(LinExpr.var(q, -d))
+            self.aux_cons.append(Constraint(r, GEQ))
+            self.aux_cons.append(
+                Constraint(r.scale(-1).add(LinExpr.constant(d - 1)), GEQ)
+            )
+        return found
+
+    def _acc(self, t, k: int, coeffs: Dict[Sym, int]) -> int:
+        """Add ``k*t`` into ``coeffs``; return its constant part."""
+        if isinstance(t, S.Var) and t.sort == S.INT:
+            coeffs[t.sym] = coeffs.get(t.sym, 0) + k
+            return 0
+        if isinstance(t, S.IntC):
+            return k * t.val
+        if isinstance(t, int) and not isinstance(t, bool):
+            return k * t  # raw literal in a Cmp operand
+        if isinstance(t, S.Add):
+            return sum(self._acc(a, k, coeffs) for a in t.args)
+        if isinstance(t, S.Scale):
+            return self._acc(t.arg, k * t.coeff, coeffs)
+        if isinstance(t, (S.FloorDiv, S.Mod)):
+            q, la = self._quotient(t.arg, t.divisor)
+            if isinstance(t, S.FloorDiv):
+                coeffs[q] = coeffs.get(q, 0) + k
+                return 0
+            for v, c in la.coeffs:
+                coeffs[v] = coeffs.get(v, 0) + k * c
+            coeffs[q] = coeffs.get(q, 0) - k * t.divisor
+            return k * la.const
+        raise NonAffine(f"not a quasi-affine integer term: {t!r}")
+
+    def lin(self, t) -> LinExpr:
+        coeffs: Dict[Sym, int] = {}
+        const = self._acc(t, 1, coeffs)
+        return LinExpr.make(coeffs, const)
+
+    def atom(self, op: str, lhs, rhs) -> Constraint:
+        """The constraint equivalent to ``lhs op rhs`` (``op`` one of
+        ``== >= > <= <``; ``!=`` is a disjunction and raises)."""
+        if op not in ("==", ">=", ">", "<=", "<"):
+            raise NonAffine(f"no conjunctive form for {op!r}")
+        sign = -1 if op in ("<=", "<") else 1
+        coeffs: Dict[Sym, int] = {}
+        const = self._acc(lhs, sign, coeffs) + self._acc(rhs, -sign, coeffs)
+        if op in (">", "<"):
+            const -= 1
+        return Constraint(LinExpr.make(coeffs, const), EQ if op == "==" else GEQ)
+
+
 def _mhat(a: int, m: int) -> int:
     """Pugh's symmetric modulus: ``a - m * floor(a/m + 1/2)``."""
     return a - m * ((2 * a + m) // (2 * m))
@@ -130,58 +209,57 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
+def tighten(c: Constraint) -> Optional[Constraint]:
+    """GCD-tighten one constraint: ``None`` when it is trivially true; raise
+    :class:`Infeasible` when it is a contradiction."""
+    e = c.expr
+    if e.is_const():
+        if c.kind == GEQ and e.const < 0:
+            raise Infeasible
+        if c.kind == EQ and e.const != 0:
+            raise Infeasible
+        if c.kind == DIV and e.const % c.divisor != 0:
+            raise Infeasible
+        return None
+    g = 0
+    for _v, coef in e.coeffs:
+        g = gcd(g, abs(coef))
+    if c.kind != DIV and g == 1:
+        return c
+    if c.kind == EQ:
+        if e.const % g != 0:
+            raise Infeasible
+        return Constraint(
+            LinExpr(tuple((v, coef // g) for v, coef in e.coeffs), e.const // g), EQ
+        )
+    if c.kind == GEQ:
+        # a.x + c >= 0 with gcd g: tighten const to floor(c/g)
+        return Constraint(
+            LinExpr(tuple((v, coef // g) for v, coef in e.coeffs), e.const // g), GEQ
+        )
+    d = c.divisor
+    gg = gcd(g, d)
+    if gg > 1 and e.const % gg == 0:
+        e = LinExpr(tuple((v, coef // gg) for v, coef in e.coeffs), e.const // gg)
+        d = d // gg
+    if d == 1:
+        return None
+    # reduce coefficients into the symmetric range (-d/2, d/2] so that unit
+    # coefficients stay unit (keeps Cooper's lcm small)
+    e = LinExpr.make({v: _mhat(coef, d) for v, coef in e.coeffs}, e.const % d)
+    if e.is_const():
+        if e.const % d != 0:
+            raise Infeasible
+        return None
+    return Constraint(e, DIV, d)
+
+
 def normalize(cons: List[Constraint]) -> List[Constraint]:
     """GCD-tighten constraints; raise :class:`Infeasible` on contradiction."""
     out = []
     for c in cons:
-        e = c.expr
-        if e.is_const():
-            if c.kind == GEQ and e.const < 0:
-                raise Infeasible
-            if c.kind == EQ and e.const != 0:
-                raise Infeasible
-            if c.kind == DIV and e.const % c.divisor != 0:
-                raise Infeasible
-            continue
-        g = 0
-        for _v, coef in e.coeffs:
-            g = gcd(g, abs(coef))
-        if c.kind == EQ:
-            if g > 1:
-                if e.const % g != 0:
-                    raise Infeasible
-                e = LinExpr(
-                    tuple((v, coef // g) for v, coef in e.coeffs), e.const // g
-                )
-            c2 = Constraint(e, EQ)
-        elif c.kind == GEQ:
-            if g > 1:
-                # a.x + c >= 0 with gcd g: tighten const to floor(c/g)
-                e = LinExpr(
-                    tuple((v, coef // g) for v, coef in e.coeffs), e.const // g
-                )
-            c2 = Constraint(e, GEQ)
-        else:  # DIV
-            d = c.divisor
-            gg = gcd(g, d)
-            if gg > 1 and e.const % gg == 0:
-                e = LinExpr(
-                    tuple((v, coef // gg) for v, coef in e.coeffs), e.const // gg
-                )
-                d = d // gg
-            if d == 1:
-                continue
-            # reduce coefficients into the symmetric range (-d/2, d/2] so
-            # that unit coefficients stay unit (keeps Cooper's lcm small)
-            e = LinExpr.make(
-                {v: _mhat(coef, d) for v, coef in e.coeffs}, e.const % d
-            )
-            if e.is_const():
-                if e.const % d != 0:
-                    raise Infeasible
-                continue
-            c2 = Constraint(e, DIV, d)
-        if c2 not in out:
+        c2 = tighten(c)
+        if c2 is not None and c2 not in out:
             out.append(c2)
     return out
 

@@ -4,7 +4,8 @@
 refuting its negation; ``Solver.satisfiable(phi)`` decides satisfiability.
 Quantifiers are eliminated recursively with the Omega test
 (:mod:`repro.smt.omega`); quasi-affine ``/`` and ``%`` are purified into
-fresh existential variables with defining constraints; boolean variables
+existential quotient variables with defining constraints (one per distinct
+division, by :class:`repro.smt.omega.Purifier`); boolean variables
 (used by the ternary-logic encoding of the effect analysis) are treated as
 opaque literals.
 """
@@ -21,7 +22,7 @@ from ..obs import trace as _obs
 from ..obs.smtstats import STATS as _SMT_STATS
 from ..obs.smtstats import QueryCache, canonical_key, current_category
 from . import terms as S
-from .omega import DIV, EQ, GEQ, Constraint, LinExpr, feasible, project
+from .omega import DIV, EQ, Constraint, LinExpr, Purifier, feasible, project
 
 _CMP_NEG = {"==": "!=", "<=": ">", "<": ">=", ">=": "<", ">": "<="}
 
@@ -184,65 +185,26 @@ def dnf_stream(t, prune=None) -> Iterable[List]:
 # ---------------------------------------------------------------------------
 
 
-class _Purifier:
-    """Collects fresh variables and defining constraints for div/mod."""
-
-    def __init__(self):
-        self.aux_vars = []
-        self.aux_cons = []
-
-    def to_lin(self, t) -> LinExpr:
-        if isinstance(t, S.Var):
-            if t.sort != S.INT:
-                raise InternalError("boolean variable in arithmetic position")
-            return LinExpr.var(t.sym)
-        if isinstance(t, S.IntC):
-            return LinExpr.constant(t.val)
-        if isinstance(t, S.Add):
-            out = LinExpr.constant(0)
-            for a in t.args:
-                out = out.add(self.to_lin(a))
-            return out
-        if isinstance(t, S.Scale):
-            return self.to_lin(t.arg).scale(t.coeff)
-        if isinstance(t, S.FloorDiv):
-            la = self.to_lin(t.arg)
-            q = Sym("q")
-            self.aux_vars.append(q)
-            dq = LinExpr.var(q, t.divisor)
-            # la - d*q >= 0   and   d*q + (d-1) - la >= 0
-            self.aux_cons.append(Constraint(la.add(dq.scale(-1)), GEQ))
-            self.aux_cons.append(
-                Constraint(dq.add(la.scale(-1)).add(LinExpr.constant(t.divisor - 1)), GEQ)
-            )
-            return LinExpr.var(q)
-        if isinstance(t, S.Mod):
-            la = self.to_lin(t.arg)
-            q = Sym("q")
-            self.aux_vars.append(q)
-            r = la.add(LinExpr.var(q, -t.divisor))
-            self.aux_cons.append(Constraint(r, GEQ))
-            self.aux_cons.append(
-                Constraint(r.scale(-1).add(LinExpr.constant(t.divisor - 1)), GEQ)
-            )
-            return r
-        raise InternalError(f"to_lin: non-linear term {t!r}")
-
-    def atom(self, t: S.Cmp) -> List[Constraint]:
-        l = self.to_lin(t.lhs)
-        r = self.to_lin(t.rhs)
-        diff = l.add(r.scale(-1))
-        if t.op == "==":
-            return [Constraint(diff, EQ)]
-        if t.op == ">=":
-            return [Constraint(diff, GEQ)]
-        if t.op == ">":
-            return [Constraint(diff.add(LinExpr.constant(-1)), GEQ)]
-        if t.op == "<=":
-            return [Constraint(diff.scale(-1), GEQ)]
-        if t.op == "<":
-            return [Constraint(diff.scale(-1).add(LinExpr.constant(-1)), GEQ)]
-        raise InternalError(f"atom: unknown op {t.op}")
+def _purify(literals):
+    """Split a DNF conjunct into linear constraints (``/`` and ``%``
+    purified), the quotient variables they introduce, and the boolean
+    literals; ``None`` when a literal is false or the booleans conflict."""
+    pur = Purifier()
+    cons = []
+    bools = []
+    for lit in literals:
+        if isinstance(lit, S.Cmp):
+            cons.append(pur.atom(lit.op, lit.lhs, lit.rhs))
+        elif isinstance(lit, (S.Var, S.Not)):
+            bools.append(lit)
+        elif isinstance(lit, S.BoolC):
+            if not lit.val:
+                return None
+        else:
+            raise InternalError(f"unexpected literal {lit!r}")
+    if _bool_conflict(bools):
+        return None
+    return cons + pur.aux_cons, pur.aux_vars, bools
 
 
 def _lin_to_term(e: LinExpr):
@@ -377,25 +339,13 @@ class Solver:
         return None
 
     def _model_of_conjunct(self, literals):
-        pur = _Purifier()
-        cons = []
-        bools = []
-        for lit in literals:
-            if isinstance(lit, S.Cmp):
-                cons.extend(pur.atom(lit))
-            elif isinstance(lit, (S.Var, S.Not)):
-                bools.append(lit)
-            elif isinstance(lit, S.BoolC):
-                if not lit.val:
-                    return None
-            else:
-                return None
-        if _bool_conflict(bools):
+        purified = _purify(literals)
+        if purified is None:
             return None
-        cons.extend(pur.aux_cons)
+        cons, aux, _bools = purified
         if not feasible(cons):
             return None
-        aux = set(pur.aux_vars)
+        aux = set(aux)
         vars_ = []
         for c in cons:
             for v, _coeff in c.expr.coeffs:
@@ -444,25 +394,11 @@ class Solver:
         qvars = list(qvars) + extra
         disjuncts = []
         for literals in dnf_stream(body, prune=self._conjunct_feasible):
-            pur = _Purifier()
-            cons = []
-            bools = []
-            ok = True
-            for lit in literals:
-                if isinstance(lit, S.Cmp):
-                    cons.extend(pur.atom(lit))
-                elif isinstance(lit, (S.Var, S.Not)):
-                    bools.append(lit)
-                elif isinstance(lit, S.BoolC):
-                    if not lit.val:
-                        ok = False
-                        break
-                else:
-                    raise InternalError(f"qe: unexpected literal {lit!r}")
-            if not ok or _bool_conflict(bools):
+            purified = _purify(literals)
+            if purified is None:
                 continue
-            cons.extend(pur.aux_cons)
-            elim = list(qvars) + pur.aux_vars
+            cons, aux, bools = purified
+            elim = list(qvars) + aux
             for out_cons in project(cons, elim):
                 parts = [_constraint_to_formula(c) for c in out_cons] + bools
                 disjuncts.append(S.conj(*parts))
@@ -528,23 +464,8 @@ class Solver:
 
     def _omega_feasible(self, literals) -> bool:
         self.stats["omega_conjuncts"] += 1
-        pur = _Purifier()
-        cons = []
-        bools = []
-        for lit in literals:
-            if isinstance(lit, S.Cmp):
-                cons.extend(pur.atom(lit))
-            elif isinstance(lit, (S.Var, S.Not)):
-                bools.append(lit)
-            elif isinstance(lit, S.BoolC):
-                if not lit.val:
-                    return False
-            else:
-                raise InternalError(f"sat: unexpected literal {lit!r}")
-        if _bool_conflict(bools):
-            return False
-        cons.extend(pur.aux_cons)
-        return feasible(cons)
+        purified = _purify(literals)
+        return purified is not None and feasible(purified[0])
 
 
 def _strip_exists(t):

@@ -6,77 +6,88 @@ import pytest
 
 from repro import obs
 from repro.analysis import absint
-from repro.analysis.absint import Box, Linearizer, refute, try_prove
-from repro.core.prelude import Sym
+from repro.analysis.absint import Box, refute, try_prove
+from repro.core.prelude import InternalError, Sym
 from repro.smt import terms as S
+from repro.smt.omega import EQ, GEQ, Constraint, LinExpr, NonAffine, Purifier
 
 
 def _v(name):
     return S.Var(Sym(name))
 
 
+def _geq(const, coeffs):
+    return Constraint(LinExpr.make(coeffs, const), GEQ)
+
+
 class TestLinearizer:
+    """Linearization by the solver's div/mod purifier, as the fast path
+    uses it."""
+
     def test_affine_atom(self):
-        lz = Linearizer()
+        pur = Purifier()
         x = _v("x")
-        cons = lz.atom_cons(S.lt(S.scale(3, x), S.IntC(7)))
+        c = pur.atom("<", S.scale(3, x), S.IntC(7))
         # 3x < 7  ->  -3x + 6 >= 0
-        assert len(cons) == 1
-        c, m = cons[0]
-        assert c == 6 and list(m.values()) == [-3]
+        assert c.kind == GEQ
+        assert c.expr.const == 6 and [a for _v, a in c.expr.coeffs] == [-3]
 
     def test_shared_quotient_variable(self):
         # both occurrences of n/16 must purify to the SAME pseudo-variable
-        lz = Linearizer()
+        pur = Purifier()
         n = _v("n")
-        _c1, m1 = lz.lin(S.floordiv(n, 16))
-        _c2, m2 = lz.lin(S.floordiv(n, 16))
-        assert m1 == m2
+        assert pur.lin(S.floordiv(n, 16)) == pur.lin(S.floordiv(n, 16))
         # two defining constraints for one quotient, not four
-        assert len(lz.cons) == 2
+        assert len(pur.aux_cons) == 2
 
     def test_distinct_quotients_stay_distinct(self):
-        lz = Linearizer()
+        pur = Purifier()
         n, m = _v("n"), _v("m")
-        _c1, q1 = lz.lin(S.floordiv(n, 16))
-        _c2, q2 = lz.lin(S.floordiv(m, 16))
-        assert q1 != q2
+        assert pur.lin(S.floordiv(n, 16)) != pur.lin(S.floordiv(m, 16))
 
     def test_mod_shares_quotient(self):
         # n % 16 rewrites to n - 16*(n/16) reusing the n/16 quotient
-        lz = Linearizer()
+        pur = Purifier()
         n = _v("n")
-        _c, mq = lz.lin(S.floordiv(n, 16))
-        (qsym,) = mq.keys()
-        _c2, mm = lz.lin(S.Mod(n, 16))
-        assert mm.get(qsym) == -16
+        (qsym,) = pur.lin(S.floordiv(n, 16)).vars()
+        assert pur.lin(S.Mod(n, 16)).coeff_of(qsym) == -16
+        assert pur.aux_vars == [qsym]
 
     def test_non_affine_raises(self):
-        lz = Linearizer()
-        with pytest.raises(absint.NonAffine):
-            lz.lin(S.Ite(S.lt(_v("x"), _v("y")), _v("x"), _v("y")))
+        pur = Purifier()
+        with pytest.raises(NonAffine):
+            pur.lin(S.Ite(S.lt(_v("x"), _v("y")), _v("x"), _v("y")))
+        # the solver reports the same exception as an internal error
+        assert issubclass(NonAffine, InternalError)
 
 
 class TestRefute:
     def test_ground_contradiction(self):
-        assert refute([(-1, {})])
+        assert refute([_geq(-1, {})])
 
     def test_simple_bounds(self):
         x = Sym("x")
         # x >= 5 and x <= 3
-        assert refute([(-5, {x: 1}), (3, {x: -1})])
+        assert refute([_geq(-5, {x: 1}), _geq(3, {x: -1})])
         # x >= 3 and x <= 5: feasible
-        assert not refute([(-3, {x: 1}), (5, {x: -1})])
+        assert not refute([_geq(-3, {x: 1}), _geq(5, {x: -1})])
 
     def test_gcd_tightening(self):
         x = Sym("x")
         # 2x >= 1 and 2x <= 1 has the rational solution x = 1/2 but no
         # integer one; gcd tightening must catch it
-        assert refute([(-1, {x: 2}), (1, {x: -2})])
+        assert refute([_geq(-1, {x: 2}), _geq(1, {x: -2})])
+
+    def test_equality_rows(self):
+        x = Sym("x")
+        # x == 3 and x >= 4
+        eq = Constraint(LinExpr.make({x: 1}, -3), EQ)
+        assert refute([eq, _geq(-4, {x: 1})])
+        assert not refute([eq, _geq(-3, {x: 1})])
 
     def test_var_cap_bails(self):
         syms = [Sym(f"v{i}") for i in range(absint.MAX_VARS + 1)]
-        cons = [(0, {s: 1}) for s in syms]
+        cons = [_geq(0, {s: 1}) for s in syms]
         assert not refute(cons)
 
 

@@ -95,3 +95,36 @@ class TestModelMechanisms:
 
     def test_peak_constant(self):
         assert PEAK_MACS_PER_CYCLE == 256
+
+
+class TestAllocationIdentity:
+    def test_utilization_independent_of_heap(self):
+        """The interpreter frees every in-loop tile, so later tiles reuse
+        their id(); hazards must follow allocations, not addresses.  Two
+        runs with allocation churn in between, and a run that keeps every
+        traced array alive, give the same utilization."""
+        from repro.machine.trace import Tracer
+
+        class KeepAlive(Tracer):
+            def __init__(self):
+                super().__init__()
+                self.kept = []
+
+            def hook(self, proc_ir, env):
+                self.kept += [v for v in env.values() if isinstance(v, np.ndarray)]
+                return super().hook(proc_ir, env)
+
+        def utilization(tracer):
+            n = 64
+            ev = tracer.run(
+                matmul_exo(), n, n, n,
+                np.zeros((n, n), np.int8), np.zeros((n, n), np.int8),
+                np.zeros((n, n), np.int8),
+            )
+            return GemminiSim().run(ev).utilization
+
+        first = utilization(Tracer())
+        churn = [np.zeros(64, np.int8) for _ in range(1000)]
+        second = utilization(Tracer())
+        del churn
+        assert first == second == utilization(KeepAlive())

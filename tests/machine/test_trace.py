@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.machine.trace import Region, Tracer, count_by_name, trace_kernel
+from repro.machine.trace import AllocIds, Region, Tracer, count_by_name, trace_kernel
 
 
 class TestRegions:
@@ -13,7 +13,7 @@ class TestRegions:
         from repro.machine.trace import _region_of
 
         a = np.zeros((8, 8), dtype=np.float32)
-        r = _region_of(a[2:4, :], "dram")
+        r = _region_of(a[2:4, :], "dram", id)
         assert r.lo == 2 * 8 * 4
         assert r.hi == 4 * 8 * 4
         assert r.bytes == 2 * 8 * 4
@@ -22,7 +22,7 @@ class TestRegions:
         from repro.machine.trace import _region_of
 
         a = np.zeros((8, 8), dtype=np.float32)
-        r = _region_of(a[0:4, 0:4], "dram")
+        r = _region_of(a[0:4, 0:4], "dram", id)
         assert r.pitch == 8 * 4
         assert r.col_lo == 0 and r.col_hi == 16
 
@@ -30,17 +30,17 @@ class TestRegions:
         from repro.machine.trace import _region_of
 
         a = np.zeros((8, 8), dtype=np.float32)
-        left = _region_of(a[0:8, 0:4], "dram")
-        right = _region_of(a[0:8, 4:8], "dram")
+        left = _region_of(a[0:8, 0:4], "dram", id)
+        right = _region_of(a[0:8, 4:8], "dram", id)
         assert not left.overlaps(right)
-        assert left.overlaps(_region_of(a[0:8, 3:5], "dram"))
+        assert left.overlaps(_region_of(a[0:8, 3:5], "dram", id))
 
     def test_row_tiles_disjoint(self):
         from repro.machine.trace import _region_of
 
         a = np.zeros((8, 8), dtype=np.float32)
-        top = _region_of(a[0:4, :], "dram")
-        bot = _region_of(a[4:8, :], "dram")
+        top = _region_of(a[0:4, :], "dram", id)
+        bot = _region_of(a[4:8, :], "dram", id)
         assert not top.overlaps(bot)
 
     def test_different_arrays_disjoint(self):
@@ -48,7 +48,8 @@ class TestRegions:
 
         a = np.zeros(16, dtype=np.float32)
         b = np.zeros(16, dtype=np.float32)
-        assert not _region_of(a, "dram").overlaps(_region_of(b, "dram"))
+        ids = AllocIds()
+        assert not _region_of(a, "dram", ids).overlaps(_region_of(b, "dram", ids))
 
 
 class TestTracing:

@@ -173,18 +173,29 @@ class TestJournalCursorCompat:
 
 class TestCompileProfile:
     def test_profile_dict_has_phase_spans(self):
+        from repro.analysis import absint
         from repro.smt.solver import DEFAULT_SOLVER
 
-        # cold canonical cache, so at least one query reaches the solver
-        # and the smt phase appears in the profile
+        # cold canonical cache and the interval fast path off, so at least
+        # one query reaches the solver and the smt phase appears in the
+        # profile
         DEFAULT_SOLVER.qcache.clear()
-        g = _gemm()
-        g.split("for i in _: _", 4, "io", "ii", tail="perfect")
-        g.c_code()
+        with absint.disabled():
+            g = _gemm()
+            g.split("for i in _: _", 4, "io", "ii", tail="perfect")
+            g.c_code()
         prof = obs.profile_dict()
         for phase in ("typecheck", "effects", "smt", "sched", "codegen"):
             assert phase in prof["phases"], f"missing phase {phase}"
         assert prof["smt"]["prove_calls"] > 0
+
+    def test_split_obligation_discharged_by_fast_path(self):
+        # rewrite obligations go through the same prove() entry point as
+        # bounds checks: the fast path tries them first
+        g = _gemm()
+        g.split("for i in _: _", 4, "io", "ii", tail="perfect")
+        counters = obs.profile_dict()["counters"]
+        assert counters.get("analysis.absint.rewrite.discharged", 0) > 0
 
     def test_compile_profile_renders(self):
         g = _gemm()

@@ -65,3 +65,44 @@ class TestReporting:
 
         out = series("S", "x", "y", {"one": [(1, 2.0)], "two": [(1, 3.0)]})
         assert "one (y)" in out and "3.00" in out
+
+
+class TestIdReuse:
+    def test_allocate_free_allocate(self):
+        """Config field symbols and call_eqv provenance must not pass from
+        a freed object to a later one that reuses its id()."""
+        import dataclasses
+        import gc
+
+        from repro import DRAM, api, f32, size
+        from repro.core import types as T
+        from repro.core.configs import Config
+        from repro.core.ir2smt import config_sym
+
+        src = "@proc\ndef foo(n: size, x: f32[n] @ DRAM):\n    pass\n"
+        env = {"DRAM": DRAM, "f32": f32, "size": size}
+        base = api.procs_from_source(src, env)["foo"]._loopir_proc
+        cfg_reused = ir_reused = 0
+        for i in range(20):
+            dead = Config(f"CfgDead{i}", [("v", T.int_t)])
+            config_sym(dead, "v")
+            dead_id = id(dead)
+            del dead
+            live = Config(f"CfgLive{i}", [("v", T.int_t)])
+            cfg_reused += id(live) == dead_id
+            assert config_sym(live, "v").name == f"CfgLive{i}_v"
+
+            ir = dataclasses.replace(base, name=f"dead{i}")
+            api.Procedure(ir, _checked=True)
+            ir_id = id(ir)
+            del ir
+            gc.collect()  # a Procedure is its own _root: a reference cycle
+            # the collection frees several objects; one of these takes the
+            # freed proc's memory
+            fresh = [dataclasses.replace(base, name=f"live{i}_{k}") for k in range(4)]
+            ir_reused += any(id(f) == ir_id for f in fresh)
+            assert all(api._eqv_of(f) is None for f in fresh)
+            node = api.Procedure(fresh[0], _checked=True)._eqv
+            assert api._eqv_of(fresh[0]) is node
+        # the loop really exercised id() reuse for both registries
+        assert cfg_reused and ir_reused

@@ -285,6 +285,22 @@ class TestInternals:
         seen = list(dnf_stream(t, prune=lambda ls: False))
         assert seen == []
 
+    def test_repeated_division_purifies_to_one_quotient(self):
+        # n/16 twice (and n%16, which reuses it) in one conjunct: one
+        # quotient variable with one pair of defining constraints
+        from repro.smt.solver import _purify
+
+        n = V(Sym("n"))
+        lits = [
+            S.ge(S.floordiv(n, 16), S.IntC(1)),
+            S.lt(S.floordiv(n, 16), S.IntC(4)),
+            S.eq(S.mod(n, 16), S.IntC(0)),
+        ]
+        cons, aux, bools = _purify(lits)
+        assert len(aux) == 1
+        assert len(cons) == len(lits) + 2
+        assert bools == []
+
     def test_prove_cache(self, solver):
         x = Sym("x")
         phi = S.gt(S.add(V(x), S.IntC(1)), V(x))

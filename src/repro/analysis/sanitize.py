@@ -38,7 +38,7 @@ from typing import List
 
 from ..core import ast as IR
 from ..core.dataflow import iter_contexts, lower_ctrl
-from ..core.ir2smt import config_sym, proc_assumptions
+from ..core.ir2smt import proc_assumptions
 from ..core.pprint import expr_to_str
 from ..core.prelude import Sym
 from ..effects.api import post_effect
@@ -303,7 +303,7 @@ def _block_touches_config(stmts, csym) -> bool:
         for e in IR.stmt_exprs(s):
             for sub in IR.walk_exprs(e):
                 if isinstance(sub, IR.ReadConfig):
-                    if config_sym(sub.config, sub.field) is csym:
+                    if sub.config.sym(sub.field) is csym:
                         return True
         if isinstance(s, IR.If):
             if _block_touches_config(s.body, csym):
@@ -317,7 +317,7 @@ def _block_touches_config(stmts, csym) -> bool:
 
 
 def _check_dead_config(proc, path, s, base, facts, report):
-    csym = config_sym(s.config, s.field)
+    csym = s.config.sym(s.field)
     for container in IR.get_enclosing(proc, path)[1:]:
         if isinstance(container, IR.For) and _block_touches_config(
             container.body, csym

@@ -138,11 +138,12 @@ class Procedure:
 
     # -- execution & compilation ------------------------------------------------
 
-    def interpret(self, *args, config_state=None, instr_hook=None):
+    def interpret(self, *args, config_state=None, instr_hook=None,
+                  alloc_hook=None):
         """Run the procedure on numpy buffers via the reference interpreter."""
         return run_proc(
             self._loopir_proc, *args, config_state=config_state,
-            instr_hook=instr_hook,
+            instr_hook=instr_hook, alloc_hook=alloc_hook,
         )
 
     def c_code(self) -> str:

@@ -223,12 +223,16 @@ def matmul_exo_blocked(ti: int = 4, tj: int = 4, relu_act: bool = False,
     from ..api import procs_from_source
 
     bi, bj = 16 * ti, 16 * tj
-    act = "relu(res[16 * it + ii, 16 * jt + ji])" if relu_act \
+    acc = "res[jo % 2, 16 * it + ii, 16 * jt + ji]" if double_buffer \
         else "res[16 * it + ii, 16 * jt + ji]"
+    act = f"relu({acc})" if relu_act else acc
     # double buffering: stage loads into the ko%2 half of the scratchpad
-    # buffers so that DMA for tile k+1 overlaps compute on tile k
+    # buffers so that DMA for tile k+1 overlaps compute on tile k, and
+    # accumulate into the jo%2 half of the accumulator so that storing one
+    # macro-tile overlaps computing the next
     adim = "2, " if double_buffer else ""
     apre = "ko % 2, " if double_buffer else ""
+    rpre = "jo % 2, " if double_buffer else ""
     src = f"""
 from __future__ import annotations
 from repro import proc, DRAM, i8, i32, size
@@ -243,12 +247,12 @@ def matmul_blocked(N: size, M: size, K: size,
     assert K % 16 == 0
     for io in seq(0, N / {bi}):
         for jo in seq(0, M / {bj}):
-            res: i32[{bi}, {bj}] @ DRAM
+            res: i32[{adim}{bi}, {bj}] @ DRAM
             for it in seq(0, {ti}):
                 for jt in seq(0, {tj}):
                     for ii in seq(0, 16):
                         for ji in seq(0, 16):
-                            res[16 * it + ii, 16 * jt + ji] = 0.0
+                            res[{rpre}16 * it + ii, 16 * jt + ji] = 0.0
             for ko in seq(0, K / 16):
                 a: i8[{adim}{bi}, 16] @ DRAM
                 for it in seq(0, {ti}):
@@ -265,7 +269,7 @@ def matmul_blocked(N: size, M: size, K: size,
                         for ii in seq(0, 16):
                             for ji in seq(0, 16):
                                 for ki in seq(0, 16):
-                                    res[16 * it + ii, 16 * jt + ji] += a[{apre}16 * it + ii, ki] * b[{apre}ki, 16 * jt + ji]
+                                    res[{rpre}16 * it + ii, 16 * jt + ji] += a[{apre}16 * it + ii, ki] * b[{apre}ki, 16 * jt + ji]
             for it in seq(0, {ti}):
                 for jt in seq(0, {tj}):
                     for ii in seq(0, 16):

@@ -25,7 +25,7 @@ from ..smt import terms as S
 from .prelude import InternalError, Sym
 from . import ast as IR
 from .buffers import TypeEnv
-from .ir2smt import config_sym, lower_expr
+from .ir2smt import lower_expr
 
 
 class GlobalState:
@@ -115,7 +115,7 @@ class Walker:
 
     def _walk_stmt(self, s, path, facts, state, tenv, do_visit):
         if isinstance(s, IR.WriteConfig):
-            csym = config_sym(s.config, s.field)
+            csym = s.config.sym(s.field)
             value = lower_ctrl(s.rhs, tenv, state)
             state = state.copy()
             state.set(csym, value)
@@ -192,9 +192,9 @@ class Walker:
 
     @staticmethod
     def _prove_runs(facts, lo, hi) -> bool:
-        from ..smt.solver import DEFAULT_SOLVER
+        from ..analysis import absint
 
-        return DEFAULT_SOLVER.prove(S.implies(S.conj(*facts), S.lt(lo, hi)))
+        return absint.prove(facts, S.lt(lo, hi), category="dataflow")
 
     def _apply_call(self, s: IR.Call, state, tenv) -> GlobalState:
         """Apply the callee's effect on configuration state."""
@@ -221,7 +221,7 @@ class Walker:
     def _walk_callee_block(self, block, sub, stride_extra, ctenv, state):
         for s in block:
             if isinstance(s, IR.WriteConfig):
-                csym = config_sym(s.config, s.field)
+                csym = s.config.sym(s.field)
                 t = lower_expr(s.rhs, _StrideEnv(ctenv, stride_extra))
                 t = S.substitute(t, sub)
                 t = state.subst_term(t)

@@ -9,7 +9,8 @@ The interpreter is the ground truth that scheduled kernels are differential-
 tested against, and the functional half of the machine simulators: a
 simulator may register an ``instr_hook`` to intercept instruction calls
 (e.g. to log a trace or to model the accelerator's own execution) while
-everything else runs under the normal semantics.
+everything else runs under the normal semantics, and an ``alloc_hook`` to
+learn which ``Alloc`` statement created each buffer.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def dtype_of(typ: T.Type):
     return _DTYPES[str(typ.basetype())]
 
 
-def run_proc(proc: IR.Proc, *args, config_state=None, instr_hook=None):
+def run_proc(proc: IR.Proc, *args, config_state=None, instr_hook=None,
+             alloc_hook=None):
     """Execute ``proc`` on the given arguments.
 
     Tensor arguments must be numpy arrays (modified in place); control
@@ -49,17 +51,20 @@ def run_proc(proc: IR.Proc, *args, config_state=None, instr_hook=None):
     ``config_state`` is a mutable dict holding configuration fields, keyed
     by ``(config, field)``.  ``instr_hook(proc, env_args)`` is called for
     every ``@instr`` call; if it returns True the body is skipped.
+    ``alloc_hook(stmt, array)`` is called for every ``Alloc`` executed,
+    with the fresh buffer.
     """
     config_state = config_state if config_state is not None else {}
-    interp = _Interp(config_state, instr_hook)
+    interp = _Interp(config_state, instr_hook, alloc_hook)
     interp.call(proc, list(args))
     return config_state
 
 
 class _Interp:
-    def __init__(self, config_state, instr_hook):
+    def __init__(self, config_state, instr_hook, alloc_hook):
         self.config = config_state
         self.instr_hook = instr_hook
+        self.alloc_hook = alloc_hook
 
     # -- procedure calls ---------------------------------------------------
 
@@ -146,6 +151,8 @@ class _Interp:
             else:
                 shape = tuple(self.eval(h, env) for h in s.type.shape())
                 env[s.name] = np.zeros(shape, dtype=dtype_of(s.type))
+            if self.alloc_hook is not None:
+                self.alloc_hook(s, env[s.name])
         elif isinstance(s, IR.Call):
             args = [self.eval_arg(a, env) for a in s.args]
             self.call(s.proc, args)

@@ -24,11 +24,6 @@ from . import types as T
 _stride_syms = {}
 
 
-def config_sym(config, field: str) -> Sym:
-    """The SMT variable standing for ``config.field`` (owned by the config)."""
-    return config.sym(field)
-
-
 def stride_sym(buf: Sym, dim: int) -> Sym:
     """The SMT variable standing for ``stride(buf, dim)``."""
     key = (buf, dim)
@@ -93,7 +88,7 @@ def lower_expr(e: IR.Expr, stride_env=None) -> S.Term:
         return S.Var(stride_sym(e.name, e.dim))
     if isinstance(e, IR.ReadConfig):
         sort = S.BOOL if e.config.field_type(e.field).is_bool() else S.INT
-        return S.Var(config_sym(e.config, e.field), sort)
+        return S.Var(e.config.sym(e.field), sort)
     raise InternalError(f"cannot lower {type(e).__name__} to a control term")
 
 

@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 from ..core import ast as IR
 from ..core.buffers import TypeEnv, lower_widx
 from ..core.dataflow import GlobalState, _StrideEnv, lower_ctrl, _actual_stride
-from ..core.ir2smt import config_sym, lower_expr
+from ..core.ir2smt import lower_expr
 from ..core.prelude import InternalError, Sym
 from ..smt import terms as S
 
@@ -163,7 +163,7 @@ class EffectExtractor:
                     else:
                         walk(w.pt)
             elif isinstance(e, IR.ReadConfig):
-                out.append(EGlobalRead(config_sym(e.config, e.field)))
+                out.append(EGlobalRead(e.config.sym(e.field)))
 
         walk(e)
         return eseq(*out)
@@ -208,7 +208,7 @@ class EffectExtractor:
             parts.append(leaf(view.root, pt))
             return eseq(*parts)
         if isinstance(s, IR.WriteConfig):
-            csym = config_sym(s.config, s.field)
+            csym = s.config.sym(s.field)
             value = self._ctrl(s.rhs)
             eff = eseq(self.expr_effect(s.rhs), EGlobalWrite(csym, value))
             self.state.set(csym, value)
@@ -367,7 +367,7 @@ def _config_reads(e: IR.Expr):
     out = []
     for sub in IR.walk_exprs(e):
         if isinstance(sub, IR.ReadConfig):
-            out.append(config_sym(sub.config, sub.field))
+            out.append(sub.config.sym(sub.field))
     return out
 
 

@@ -15,10 +15,8 @@ lets the timing simulators resolve RAW/WAR hazards exactly.
 
 from __future__ import annotations
 
-import itertools
-import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Hashable, List, Tuple
 
 import numpy as np
 
@@ -34,7 +32,7 @@ class Region:
     accumulator tiles would appear to conflict and serialize the model.
     """
 
-    base: int  # identity of the root numpy allocation (see AllocIds)
+    base: Hashable  # the allocation the region lies in (see Tracer)
     lo: int
     hi: int  # exclusive
     bytes: int  # dense payload size (excludes stride gaps)
@@ -61,27 +59,7 @@ class Event:
     operands: Dict[str, Region]
 
 
-class AllocIds:
-    """Serial numbers for root numpy allocations.
-
-    ``id()`` is reused once an array is freed -- the interpreter frees every
-    in-loop scratchpad tile, so thousands of tiles would share a few ids and
-    hazards would follow the heap.  A serial is never reused.  A weak
-    reference tells a live array from a freed one with the same ``id()``
-    without keeping arrays alive."""
-
-    def __init__(self):
-        self._by_id: Dict[int, Tuple[weakref.ref, int]] = {}
-        self._next = itertools.count()
-
-    def __call__(self, arr: np.ndarray) -> int:
-        entry = self._by_id.get(id(arr))
-        if entry is None or entry[0]() is not arr:
-            entry = self._by_id[id(arr)] = (weakref.ref(arr), next(self._next))
-        return entry[1]
-
-
-def _region_of(view: np.ndarray, space: str, alloc_id: Callable) -> Region:
+def _region_of(view: np.ndarray, space: str, allocation: Callable) -> Region:
     base = view.base if view.base is not None else view
     while getattr(base, "base", None) is not None:
         base = base.base
@@ -103,7 +81,7 @@ def _region_of(view: np.ndarray, space: str, alloc_id: Callable) -> Region:
                 pitch = 0
                 col_lo = col_hi = 0
     return Region(
-        base=alloc_id(base),
+        base=allocation(base),
         lo=lo,
         hi=lo + span,
         bytes=int(view.size * view.itemsize),
@@ -120,7 +98,21 @@ class Tracer:
     def __init__(self, functional: bool = False):
         self.functional = functional
         self.events: List[Event] = []
-        self.alloc_ids = AllocIds()
+        #: ``id()`` of a buffer the interpreter allocated -> its ``Alloc``'s
+        #: Sym.  The interpreter reports every allocation before the buffer
+        #: can reach an instruction, so an entry a freed buffer left behind
+        #: is overwritten before its ``id()`` is looked up again; buffers the
+        #: caller passes in stay alive for the whole run.
+        self._alloc_of: Dict[int, Hashable] = {}
+
+    def alloc_hook(self, stmt, arr):
+        # every execution of one Alloc is the same buffer, as the static
+        # scratchpad allocation of the generated C is: a tile allocated in
+        # a loop keeps its hazards from one iteration to the next
+        self._alloc_of[id(arr)] = stmt.name
+
+    def _allocation(self, root: np.ndarray) -> Hashable:
+        return self._alloc_of.get(id(root), id(root))
 
     def hook(self, proc_ir, env) -> bool:
         ctrl = {}
@@ -129,7 +121,7 @@ class Tracer:
             val = env[formal.name]
             if isinstance(val, np.ndarray) and val.ndim > 0:
                 space = formal.mem.name() if formal.mem is not None else "dram"
-                operands[str(formal.name)] = _region_of(val, space, self.alloc_ids)
+                operands[str(formal.name)] = _region_of(val, space, self._allocation)
             elif isinstance(val, np.ndarray):
                 ctrl[str(formal.name)] = float(val[()])
             else:
@@ -139,7 +131,8 @@ class Tracer:
 
     def run(self, procedure, *args):
         """Interpret ``procedure``, returning the recorded event list."""
-        procedure.interpret(*args, instr_hook=self.hook)
+        procedure.interpret(*args, instr_hook=self.hook,
+                            alloc_hook=self.alloc_hook)
         return self.events
 
 

@@ -872,17 +872,17 @@ def _access_kinds(eff, buf):
 def _covers(ctx, eff, buf, rank, box) -> bool:
     """Does the block definitely write the whole box? (if so, no copy-in is
     needed even when the block writes the buffer)"""
+    from ..analysis import absint
     from ..effects.effects import mem
     from ..smt import terms as S
-    from ..smt.solver import DEFAULT_SOLVER
 
     p = EA._fresh_point(rank)
     inside = S.conj(
         *[S.conj(S.ge(pi, lo), S.lt(pi, hi)) for pi, (lo, hi) in zip(p, box)]
     )
     written = mem(eff, "w", buf, p)
-    goal = S.implies(S.conj(*ctx.assumptions), S.implies(inside, written))
-    return DEFAULT_SOLVER.prove(goal)
+    return absint.prove(ctx.assumptions, S.implies(inside, written),
+                        category="rewrite")
 
 
 def _rewrite_accesses(block, buf: Sym, new: Sym, widx):

@@ -7,7 +7,6 @@ import pytest
 from repro.api import procs_from_source
 from repro.core.configs import Config
 from repro.core.dataflow import GlobalState, Walker, state_before
-from repro.core.ir2smt import config_sym
 from repro.core import ast as IR
 from repro.core import types as T
 from repro.smt import terms as S
@@ -59,7 +58,7 @@ def f(x: f32 @ DRAM):
             extra={"CfgDF": cfg},
         )
         _facts, state, _tenv = _state_at_call(p)
-        assert state.get(config_sym(cfg, "a")) == S.IntC(7)
+        assert state.get(cfg.sym("a")) == S.IntC(7)
 
     def test_dependent_write(self, cfg):
         p = _p(
@@ -78,7 +77,7 @@ def f(n: size, x: f32 @ DRAM):
         )
         _f, state, _t = _state_at_call(p)
         n = p.ir().args[0].name
-        assert state.get(config_sym(cfg, "b")) == S.add(S.Var(n), S.IntC(1))
+        assert state.get(cfg.sym("b")) == S.add(S.Var(n), S.IntC(1))
 
     def test_if_merge_equal(self, cfg):
         p = _p(
@@ -98,7 +97,7 @@ def f(n: size, x: f32 @ DRAM):
             extra={"CfgDF": cfg},
         )
         _f, state, _t = _state_at_call(p)
-        assert state.get(config_sym(cfg, "a")) == S.IntC(2)
+        assert state.get(cfg.sym("a")) == S.IntC(2)
 
     def test_if_merge_differs_havocs(self, cfg):
         p = _p(
@@ -118,7 +117,7 @@ def f(n: size, x: f32 @ DRAM):
             extra={"CfgDF": cfg},
         )
         _f, state, _t = _state_at_call(p)
-        v = state.get(config_sym(cfg, "a"))
+        v = state.get(cfg.sym("a"))
         assert v not in (S.IntC(1), S.IntC(2))  # unknown
 
 
@@ -154,7 +153,7 @@ def f(n: size, x: f32[n] @ DRAM, v: f32 @ DRAM):
             extra={"CfgDF": cfg},
         )
         _f, state, _t = _state_at_call(p)
-        assert state.get(config_sym(cfg, "a")) == S.IntC(3)
+        assert state.get(cfg.sym("a")) == S.IntC(3)
 
     def test_variant_write_havocs(self, cfg):
         p = _p(
@@ -173,7 +172,7 @@ def f(n: size, x: f32[n] @ DRAM, v: f32 @ DRAM):
             extra={"CfgDF": cfg},
         )
         _f, state, _t = _state_at_call(p)
-        assert state.get(config_sym(cfg, "a")) != S.IntC(3)
+        assert state.get(cfg.sym("a")) != S.IntC(3)
 
     def test_loop_constant_write_with_proven_trip(self, cfg):
         """A loop that writes the same constant every iteration, with a
@@ -194,7 +193,7 @@ def f(n: size, x: f32[n] @ DRAM, v: f32 @ DRAM):
             extra={"CfgDF": cfg},
         )
         _f, state, _t = _state_at_call(p)
-        assert state.get(config_sym(cfg, "a")) == S.IntC(5)
+        assert state.get(cfg.sym("a")) == S.IntC(5)
 
     def test_zero_trip_possible_havocs(self, cfg):
         p = _p(
@@ -212,7 +211,7 @@ def f(n: size, x: f32[n] @ DRAM, v: f32 @ DRAM):
             extra={"CfgDF": cfg},
         )
         _f, state, _t = _state_at_call(p)
-        assert state.get(config_sym(cfg, "a")) != S.IntC(5)
+        assert state.get(cfg.sym("a")) != S.IntC(5)
 
 
 class TestCalls:
@@ -243,7 +242,7 @@ def f(v: f32 @ DRAM):
             if isinstance(IR.get_stmt(proc, path), IR.Call)
         ]
         _f, state, _t = state_before(proc, calls[1])
-        assert state.get(config_sym(cfg, "a")) == S.IntC(9)
+        assert state.get(cfg.sym("a")) == S.IntC(9)
 
 
 class TestLoopConvergence:
@@ -272,7 +271,7 @@ def f(n: size, x: f32[n] @ DRAM):
             extra={"CfgDF": cfg},
         )
         state = self._body_state(p, lambda s: isinstance(s, IR.Assign))
-        assert state.get(config_sym(cfg, "a")) == S.IntC(3)
+        assert state.get(cfg.sym("a")) == S.IntC(3)
 
     def test_mutated_field_is_unknown_in_body(self, cfg):
         # a field the loop overwrites with a loop-variant value must be
@@ -290,7 +289,7 @@ def f(n: size, x: f32[n] @ DRAM):
             extra={"CfgDF": cfg},
         )
         state = self._body_state(p, lambda s: isinstance(s, IR.Assign))
-        a = state.get(config_sym(cfg, "a"))
+        a = state.get(cfg.sym("a"))
         assert a != S.IntC(3)
         assert isinstance(a, S.Var)  # opaque unknown, not some stale term
 
@@ -310,8 +309,8 @@ def f(n: size, x: f32[n] @ DRAM):
             extra={"CfgDF": cfg},
         )
         state = self._body_state(p, lambda s: isinstance(s, IR.Assign))
-        assert state.get(config_sym(cfg, "a")) == S.IntC(3)
-        assert state.get(config_sym(cfg, "b")) != S.IntC(7)
+        assert state.get(cfg.sym("a")) == S.IntC(3)
+        assert state.get(cfg.sym("b")) != S.IntC(7)
 
     def test_self_referential_write_converges(self, cfg):
         # CfgDF.a = CfgDF.a inside the loop is a no-op: the fixpoint must
@@ -328,7 +327,7 @@ def f(n: size, x: f32[n] @ DRAM):
             extra={"CfgDF": cfg},
         )
         state = self._body_state(p, lambda s: isinstance(s, IR.Assign))
-        assert state.get(config_sym(cfg, "a")) == S.IntC(3)
+        assert state.get(cfg.sym("a")) == S.IntC(3)
 
     def test_iter_contexts_matches_state_before(self, cfg):
         # the bulk walk must agree with the per-path API at every statement
@@ -353,7 +352,7 @@ def f(n: size, x: f32[n] @ DRAM):
             assert IR.get_stmt(proc, path) is s
             f2, st2, _t2 = state_before(proc, path)
             assert facts == f2
-            a = config_sym(cfg, "a")
+            a = cfg.sym("a")
             v1, v2 = state.get(a), st2.get(a)
             if isinstance(v1, S.Var) and v1.sym.name.endswith("_u"):
                 # havoc unknowns are minted fresh per walk: equal up to name

@@ -7,7 +7,7 @@ import pytest
 from repro.api import procs_from_source
 from repro.core import ast as IR
 from repro.core import types as T
-from repro.core.ir2smt import config_sym, lower_expr, proc_assumptions, stride_sym
+from repro.core.ir2smt import lower_expr, proc_assumptions, stride_sym
 from repro.core.prelude import InternalError, Sym
 from repro.smt import terms as S
 
@@ -65,7 +65,7 @@ class TestLowering:
         from repro.core.configs import Config
 
         cfg = Config("CfgL", [("v", T.int_t)])
-        assert config_sym(cfg, "v") is config_sym(cfg, "v")
+        assert cfg.sym("v") is cfg.sym("v")
 
     def test_stride_sym_stable(self):
         b = Sym("buf")

@@ -12,7 +12,6 @@ import pytest
 
 from repro.api import procs_from_source
 from repro.core.configs import Config
-from repro.core.ir2smt import config_sym
 from repro.core.prelude import SchedulingError
 from repro.core import types as T
 from repro.effects.api import check_config_pollution, check_remove_loop
@@ -45,7 +44,7 @@ def f(n: size, x: f32[n] @ DRAM):
 """,
             extra={"CfgPolA": cfg},
         )
-        csym = config_sym(cfg, "v")
+        csym = cfg.sym("v")
         with pytest.raises(SchedulingError) as exc:
             check_config_pollution(ir, (("body", 0),), [csym])
         assert "may read polluted config" in str(exc.value)
@@ -66,7 +65,7 @@ def f(n: size, x: f32[n] @ DRAM):
             extra={"CfgPolB": cfg},
         )
         # polluting the first write is fine: the second write shadows it
-        check_config_pollution(ir, (("body", 0),), [config_sym(cfg, "v")])
+        check_config_pollution(ir, (("body", 0),), [cfg.sym("v")])
 
     def test_no_fields_is_a_no_op(self):
         ir = _ir(

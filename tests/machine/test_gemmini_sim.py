@@ -77,16 +77,14 @@ class TestModelMechanisms:
 
     def test_double_buffer_overlap(self):
         """Single-buffered staging serializes DMA against compute through
-        WAR hazards; the ko%2 trick removes them."""
+        WAR hazards on the scratchpad tile every ko iteration reuses; the
+        ko%2 trick removes them."""
         sim = GemminiSim()
-        # single 16x16 macro tile, same buffer reused every ko: use a
-        # kernel variant sharing one buffer via double_buffer=False but
-        # lift the alloc manually is involved; compare blocked variants
         ev_db = _trace(matmul_exo_blocked(2, 2, double_buffer=True))
         ev_sb = _trace(matmul_exo_blocked(2, 2, double_buffer=False))
         r_db = sim.run(ev_db)
         r_sb = sim.run(ev_sb)
-        assert r_db.utilization >= r_sb.utilization * 0.98
+        assert r_db.utilization > r_sb.utilization * 1.1
 
     def test_dma_cost_scales_with_bytes(self, sim):
         ev = _trace(matmul_exo(), 32, 32, 64)
@@ -100,9 +98,9 @@ class TestModelMechanisms:
 class TestAllocationIdentity:
     def test_utilization_independent_of_heap(self):
         """The interpreter frees every in-loop tile, so later tiles reuse
-        their id(); hazards must follow allocations, not addresses.  Two
-        runs with allocation churn in between, and a run that keeps every
-        traced array alive, give the same utilization."""
+        their id(); hazards must follow Alloc statements, not addresses.
+        Two runs with allocation churn in between, and a run that keeps
+        every traced array alive, give the same utilization."""
         from repro.machine.trace import Tracer
 
         class KeepAlive(Tracer):

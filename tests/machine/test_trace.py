@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.machine.trace import AllocIds, Region, Tracer, count_by_name, trace_kernel
+from repro.machine.trace import Region, Tracer, count_by_name, trace_kernel
 
 
 class TestRegions:
@@ -48,8 +48,7 @@ class TestRegions:
 
         a = np.zeros(16, dtype=np.float32)
         b = np.zeros(16, dtype=np.float32)
-        ids = AllocIds()
-        assert not _region_of(a, "dram", ids).overlaps(_region_of(b, "dram", ids))
+        assert not _region_of(a, "dram", id).overlaps(_region_of(b, "dram", id))
 
 
 class TestTracing:

@@ -8,7 +8,9 @@ the solver treats as universally quantified -- the sound reading of the
 paper's ⊥).
 
 Loops use the paper's convergence heuristic: a field whose value is not
-provably unchanged by one iteration is driven to an unknown.
+provably unchanged by one iteration is driven to an unknown.  A loop whose
+body cannot write a config field (:func:`writes_config`) needs no such
+fixpoint: its body is walked once, and only when statements are visited.
 
 The same engine drives a generic execution-ordered walk of a procedure,
 collecting control-flow *facts* (loop bounds, branch conditions) and the
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
+from ..obs import trace as _obs
 from ..smt import terms as S
 from .prelude import InternalError, Sym
 from . import ast as IR
@@ -53,8 +56,38 @@ class GlobalState:
         return S.substitute(t, self.values)
 
     def changed_fields(self, other: "GlobalState"):
-        keys = set(self.values) | set(other.values)
-        return [k for k in keys if self.get(k) != other.get(k)]
+        """Fields whose values differ, in ``Sym.id`` order (havoc symbols
+        are minted in this order, so it must not follow the heap)."""
+        return [k for k in _field_order(self, other)
+                if self.get(k) != other.get(k)]
+
+
+def _field_order(a: GlobalState, b: GlobalState) -> list:
+    return sorted(set(a.values) | set(b.values), key=lambda k: k.id)
+
+
+def writes_config(node) -> bool:
+    """May executing ``node`` write a config field?
+
+    ``node`` is a statement or a :class:`~repro.core.ast.Proc`.  The answer
+    is transitive through ``If``, ``For`` and ``Call`` (into the callee's
+    body, ``@instr`` procedures included).  It is computed once per
+    ``For``/``If``/``Proc`` node and cached on the node itself: IR nodes
+    are immutable, so a rewrite that changes a body builds a new node with
+    no cached answer.  The cache is not a dataclass field, so equality,
+    hashing and printing are unaffected."""
+    if isinstance(node, IR.WriteConfig):
+        return True
+    if isinstance(node, IR.Call):
+        return writes_config(node.proc)
+    if not isinstance(node, (IR.For, IR.If, IR.Proc)):
+        return False
+    cached = node.__dict__.get("_writes_config")
+    if cached is None:
+        blocks = (node.body, node.orelse) if isinstance(node, IR.If) else (node.body,)
+        cached = any(writes_config(s) for b in blocks for s in b)
+        object.__setattr__(node, "_writes_config", cached)
+    return cached
 
 
 class _StrideEnv:
@@ -96,12 +129,13 @@ class Walker:
     def run(self, state: Optional[GlobalState] = None) -> GlobalState:
         from .ir2smt import proc_assumptions
 
-        state = state or GlobalState()
-        tenv = TypeEnv(self.proc)
-        facts = list(proc_assumptions(self.proc))
-        return self._walk_block(
-            self.proc.body, [("body", None)], facts, state, tenv, True
-        )
+        with _obs.span("dataflow.walk"):
+            state = state or GlobalState()
+            tenv = TypeEnv(self.proc)
+            facts = list(proc_assumptions(self.proc))
+            return self._walk_block(
+                self.proc.body, [("body", None)], facts, state, tenv, True
+            )
 
     # -- internals -----------------------------------------------------------
 
@@ -140,10 +174,25 @@ class Walker:
             return state
         return state
 
+    def _walk_body(self, s: IR.For, path, facts, state, tenv, do_visit):
+        _obs.incr("dataflow.loop_body_walks")
+        return self._walk_block(
+            s.body, path + [("body", None)], facts, state, tenv.copy(), do_visit
+        )
+
     def _walk_loop(self, s: IR.For, path, facts, state, tenv, do_visit):
+        visiting = do_visit and self.visit is not None
+        if not writes_config(s):
+            # config-transparent: every iteration starts and ends in the
+            # entry state, so there is no fixpoint to find
+            if visiting:
+                lo = lower_ctrl(s.lo, tenv, state)
+                hi = lower_ctrl(s.hi, tenv, state)
+                bound = [S.le(lo, S.Var(s.iter)), S.lt(S.Var(s.iter), hi)]
+                self._walk_body(s, path, facts + bound, state.copy(), tenv, True)
+            return state
         lo = lower_ctrl(s.lo, tenv, state)
         hi = lower_ctrl(s.hi, tenv, state)
-        body_path = path + [("body", None)]
         # find the loop-entry fixpoint: fields not provably loop-invariant
         # are havoced (the paper's convergence heuristic)
         entry = state.copy()
@@ -151,9 +200,7 @@ class Walker:
         havoced = set()
         for _round in range(64):
             probe = entry.copy()
-            out = self._walk_block(
-                s.body, body_path, [], probe, tenv.copy(), False
-            )
+            out = self._walk_body(s, path, [], probe, tenv, False)
             changed = [f for f in out.changed_fields(entry) if f not in havoced]
             if not changed:
                 break
@@ -163,22 +210,18 @@ class Walker:
                 havoced.add(f)
         else:
             raise InternalError("config dataflow failed to converge")
-        if do_visit and self.visit is not None:
+        if visiting:
             bound = [S.le(lo, S.Var(s.iter)), S.lt(S.Var(s.iter), hi)]
-            self._walk_block(
-                s.body, body_path, facts + bound, entry.copy(), tenv.copy(), True
-            )
+            self._walk_body(s, path, facts + bound, entry.copy(), tenv, True)
         # post-loop state: a field whose exit value is the same definite,
         # iteration-independent term every iteration keeps that value when
         # the loop provably runs (the config-hoisting pattern of §2.4);
         # anything else is havoced (zero-or-variant trips)
-        probe = entry.copy()
-        out = self._walk_block(s.body, body_path, [], probe, tenv.copy(), False)
+        out = self._walk_body(s, path, [], entry.copy(), tenv, False)
         runs = None  # lazily-proven "at least one iteration"
         exit_state = state.copy()
-        for f in set(entry.changed_fields(state)) | set(
-            out.changed_fields(entry)
-        ):
+        changed = set(entry.changed_fields(state)) | set(out.changed_fields(entry))
+        for f in sorted(changed, key=lambda k: k.id):
             v = out.get(f)
             fv = S.free_vars(v)
             if s.iter not in fv and not (fv & havoc_vars):
@@ -292,8 +335,7 @@ def _actual_stride(actual: IR.Expr, formal_dim: int, tenv: TypeEnv) -> S.Term:
 
 def _merge_states(cond: S.Term, a: GlobalState, b: GlobalState) -> GlobalState:
     out = GlobalState()
-    keys = set(a.values) | set(b.values)
-    for k in keys:
+    for k in _field_order(a, b):
         va, vb = a.get(k), b.get(k)
         if va == vb:
             out.set(k, va)

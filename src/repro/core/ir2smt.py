@@ -7,8 +7,9 @@ checker), so every one of them maps onto the solver's LIA term language:
   :class:`Sym`),
 * config fields map to one SMT variable per ``(config, field)``, owned by
   the :class:`~repro.core.configs.Config`,
-* ``stride(x, d)`` maps to one SMT variable per ``(buffer, dim)`` unless the
-  buffer's layout makes the stride statically known.
+* ``stride(x, d)`` maps to one SMT variable per ``(buffer, dim)``, owned by
+  the buffer's :class:`Sym`, unless the buffer's layout makes the stride
+  statically known.
 
 Booleans are encoded as integers 0/1 only where needed; boolean-sorted
 control expressions lower directly to formulas.
@@ -21,15 +22,16 @@ from ..core.prelude import InternalError, Sym
 from . import ast as IR
 from . import types as T
 
-_stride_syms = {}
-
 
 def stride_sym(buf: Sym, dim: int) -> Sym:
-    """The SMT variable standing for ``stride(buf, dim)``."""
-    key = (buf, dim)
-    if key not in _stride_syms:
-        _stride_syms[key] = Sym(f"{buf.name}_stride{dim}")
-    return _stride_syms[key]
+    """The SMT variable standing for ``stride(buf, dim)``: one per
+    dimension, owned by the buffer's symbol and minted on first use."""
+    if buf.strides is None:
+        buf.strides = {}
+    s = buf.strides.get(dim)
+    if s is None:
+        s = buf.strides[dim] = Sym(f"{buf.name}_stride{dim}")
+    return s
 
 
 def lower_expr(e: IR.Expr, stride_env=None) -> S.Term:

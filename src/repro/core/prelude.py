@@ -67,13 +67,16 @@ class Sym:
     :meth:`copy` to mint a fresh binder with the same display name.
     """
 
-    __slots__ = ("name", "id")
+    __slots__ = ("name", "id", "strides")
 
     def __init__(self, name: str):
         if not isinstance(name, str) or not name:
             raise InternalError(f"invalid Sym name: {name!r}")
         self.name = name
         self.id = next(_sym_counter)
+        #: ``{dim: Sym}`` of a buffer's stride variables, filled on first
+        #: use by :func:`repro.core.ir2smt.stride_sym`
+        self.strides = None
 
     def copy(self) -> "Sym":
         """Return a fresh ``Sym`` sharing this one's display name."""

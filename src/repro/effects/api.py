@@ -216,17 +216,7 @@ def check_fission(proc: IR.Proc, loop_path, split_idx: int, what="fission"):
     hi = ex._ctrl(loop.hi)
     # stabilize config state across iterations, then extract both halves
     # sequentially (so a2 sees the dataflow established by a1)
-    entry = ex.state.copy()
-    havoced = set()
-    for _round in range(64):
-        probe = EffectExtractor(ex.tenv.copy(), entry.copy())
-        probe.block_effect(loop.body)
-        changed = [f for f in probe.state.changed_fields(entry) if f not in havoced]
-        if not changed:
-            break
-        for f in changed:
-            entry.havoc(f)
-            havoced.add(f)
+    entry = ex.loop_entry(loop)
     body_ex = EffectExtractor(ex.tenv.copy(), entry)
     a1 = body_ex.block_effect(loop.body[:split_idx])
     a2 = body_ex.block_effect(loop.body[split_idx:])
@@ -268,17 +258,7 @@ def check_reorder_loops(proc: IR.Proc, outer_path):
             "(non-rectangular loop nest)"
         )
     y = inner.iter
-    entry = ex.state.copy()
-    havoced = set()
-    for _round in range(64):
-        probe = EffectExtractor(ex.tenv.copy(), entry.copy())
-        probe.block_effect(inner.body)
-        changed = [f for f in probe.state.changed_fields(entry) if f not in havoced]
-        if not changed:
-            break
-        for f in changed:
-            entry.havoc(f)
-            havoced.add(f)
+    entry = ex.loop_entry(inner)
     body_ex = EffectExtractor(ex.tenv.copy(), entry)
     a = body_ex.block_effect(inner.body)
     x2, y2 = x.copy(), y.copy()

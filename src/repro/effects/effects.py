@@ -25,7 +25,13 @@ from typing import Optional, Tuple
 
 from ..core import ast as IR
 from ..core.buffers import TypeEnv, lower_widx
-from ..core.dataflow import GlobalState, _StrideEnv, lower_ctrl, _actual_stride
+from ..core.dataflow import (
+    GlobalState,
+    _StrideEnv,
+    _actual_stride,
+    lower_ctrl,
+    writes_config,
+)
 from ..core.ir2smt import lower_expr
 from ..core.prelude import InternalError, Sym
 from ..smt import terms as S
@@ -133,6 +139,28 @@ class EffectExtractor:
         Subclasses override to preserve their substitutions."""
         return EffectExtractor(self.tenv, state)
 
+    def loop_entry(self, loop: IR.For) -> GlobalState:
+        """The config state every iteration of ``loop`` may start in, from
+        the current state: fields one iteration may change are havoced
+        until the state is stable.  A config-transparent loop keeps the
+        current state and costs no probe."""
+        entry = self.state.copy()
+        if not writes_config(loop):
+            return entry
+        havoced = set()
+        for _round in range(64):
+            probe = self._spawn(entry)
+            probe.block_effect(loop.body)
+            changed = [
+                f for f in probe.state.changed_fields(entry) if f not in havoced
+            ]
+            if not changed:
+                break
+            for f in changed:
+                entry.havoc(f)
+                havoced.add(f)
+        return entry
+
     # -- expressions -------------------------------------------------------
 
     def expr_effect(self, e: IR.Expr) -> Eff:
@@ -235,31 +263,18 @@ class EffectExtractor:
             lo = self._ctrl(s.lo)
             hi = self._ctrl(s.hi)
             bound_eff = eseq(self.expr_effect(s.lo), self.expr_effect(s.hi))
-            # stabilize the config state across iterations (havoc loop-variant
-            # fields), then extract the body under the stabilized state
-            entry = self.state.copy()
-            havoced = set()
-            for _round in range(64):
-                probe = self._spawn(entry)
-                probe.block_effect(s.body)
-                changed = [
-                    f for f in probe.state.changed_fields(entry)
-                    if f not in havoced
-                ]
-                if not changed:
-                    break
-                for f in changed:
-                    entry.havoc(f)
-                    havoced.add(f)
+            # extract the body under the stabilized entry state
+            entry = self.loop_entry(s)
             body_ex = self._spawn(entry)
             body = body_ex.block_effect(s.body)
-            # post-loop state: havoc anything the body may change
-            exit_state = self.state.copy()
-            for f in entry.changed_fields(self.state):
-                exit_state.havoc(f)
-            for f in body_ex.state.changed_fields(entry):
-                exit_state.havoc(f)
-            self.state = exit_state
+            if writes_config(s):
+                # post-loop state: havoc anything the body may change
+                exit_state = self.state.copy()
+                for f in entry.changed_fields(self.state):
+                    exit_state.havoc(f)
+                for f in body_ex.state.changed_fields(entry):
+                    exit_state.havoc(f)
+                self.state = exit_state
             return eseq(bound_eff, ELoop(s.iter, lo, hi, body))
         if isinstance(s, IR.Alloc):
             self.tenv.enter_stmt(s)

@@ -5,6 +5,7 @@ into the compile phases the paper's pipeline is made of:
 
 * ``parse``     — front-end parsing (``@proc`` bodies -> IR)
 * ``typecheck`` — the §3.1 type checker
+* ``dataflow``  — the §5.3 configuration dataflow walk (``Walker.run``)
 * ``effects``   — effect extraction and safety-obligation assembly
 * ``smt``       — the decision procedure itself (DNF + Omega)
 * ``sched``     — the rewrite primitives (IR surgery, pattern matching)
@@ -27,8 +28,8 @@ from .smtstats import STATS
 
 #: display order for the phase table
 PHASES = (
-    "parse", "typecheck", "effects", "analysis", "smt", "sched", "codegen",
-    "other",
+    "parse", "typecheck", "dataflow", "effects", "analysis", "smt", "sched",
+    "codegen", "other",
 )
 
 #: lint verdicts surfaced as parallelism coverage (see repro.analysis)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from typing import Callable, Optional, Tuple
 
 from ..core import ast as IR
+from ..core.dataflow import writes_config
 from ..core.prelude import SchedulingError
 
 
@@ -257,18 +258,9 @@ def interior_none(_rel):
     return None
 
 
-def stmts_write_config(stmts, _seen=None) -> bool:
+def stmts_write_config(stmts) -> bool:
     """Does this block write config state, directly or through calls?"""
-    if _seen is None:
-        _seen = set()
-    for s in IR.walk_stmts(stmts):
-        if isinstance(s, IR.WriteConfig):
-            return True
-        if isinstance(s, IR.Call) and id(s.proc) not in _seen:
-            _seen.add(id(s.proc))
-            if stmts_write_config(s.proc.body, _seen):
-                return True
-    return False
+    return any(writes_config(s) for s in stmts)
 
 
 def splice(proc_or_stmts_old, path, old_count, new_count,

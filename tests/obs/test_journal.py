@@ -197,6 +197,17 @@ class TestCompileProfile:
         counters = obs.profile_dict()["counters"]
         assert counters.get("analysis.absint.rewrite.discharged", 0) > 0
 
+    def test_dataflow_walks_booked_to_dataflow_phase(self):
+        # the config dataflow walk is its own phase, not self-time of the
+        # enclosing effects/sched spans
+        g = _gemm()
+        g.split("for i in _: _", 4, "io", "ii", tail="perfect")
+        prof = obs.profile_dict()
+        assert prof["phases"].get("dataflow", 0.0) > 0.0
+        assert prof["spans"]["dataflow.walk"]["count"] > 0
+        assert prof["counters"]["dataflow.loop_body_walks"] > 0
+        assert "dataflow" in obs.compile_profile()
+
     def test_compile_profile_renders(self):
         g = _gemm()
         g.split("for i in _: _", 4, "io", "ii", tail="perfect")
